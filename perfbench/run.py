@@ -24,7 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 CMAKE_DIR = os.path.join(BUILD, "cmake")
 BINARY = os.path.join(CMAKE_DIR, "era_perfbench")
-WORKLOADS = ("build_dna", "build_repetitive", "query_cold")
+WORKLOADS = ("build_dna", "build_repetitive", "query_cold", "query_warm")
 # A run takes --seconds plus set-up, builds and oracle checks; the first run
 # also compiles.
 BUILD_TIMEOUT_S = 840
@@ -69,7 +69,7 @@ def main():
     driver = subprocess.Popen(
         [BINARY, "--workload", args.workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--trace", str(args.trace),
-         "--work-dir", work, "--state-dir", os.path.join(BUILD, "state")],
+         "--work-dir", work],
         start_new_session=True)
     try:
         returncode = driver.wait(timeout=RUN_TIMEOUT_S)

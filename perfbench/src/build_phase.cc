@@ -23,8 +23,8 @@ struct OneBuild {
   double seconds = 0;
   era::ParallelBuildResult result;
   uint64_t index_bytes = 0;
-  // Direct VerticalPartition call (traced builds only).
-  double vertical_s = 0;
+  // PartitionPlan.rounds of a direct VerticalPartition call (traced builds
+  // only).
   uint32_t vertical_rounds = 0;
 };
 
@@ -60,16 +60,16 @@ era::StatusOr<OneBuild> BuildOnce(era::Env* env, const Corpus& corpus,
   }
 
   if (traced) {
-    // The same call the builder makes first, with the same per-worker share
-    // and FM, timed on its own.
+    // BuildStats has no round count, so the plan is made again with the
+    // build's per-worker share and FM. This call has no tile cache, unlike
+    // the builder's, so only its count is used: era.vertical_s is the
+    // build's own vertical_partition time.
     era::BuildOptions per_worker = options;
     per_worker.memory_budget /= spec.workers;
-    const auto vertical_start = Clock::now();
     ERA_ASSIGN_OR_RETURN(
         era::PartitionPlan plan,
         era::VerticalPartition(corpus.info, per_worker,
                                one.result.stats.fm));
-    one.vertical_s = SecondsSince(vertical_start);
     one.vertical_rounds = plan.rounds;
   }
   return one;
@@ -85,7 +85,7 @@ std::map<std::string, double> LayerMetrics(const std::vector<OneBuild>& builds,
   for (const OneBuild& b : builds) {
     const era::BuildStats& stats = b.result.stats;
     wall += b.seconds;
-    vertical_s += b.vertical_s;
+    vertical_s += stats.vertical_seconds;
     vertical_rounds += b.vertical_rounds;
     prepare_rounds += static_cast<double>(stats.prepare_rounds);
     text_bytes += static_cast<double>(stats.text_bytes);
@@ -322,7 +322,13 @@ era::Status RunBuildRep(const std::string& driver,
       static_cast<double>(r.index_bytes) / static_cast<double>(r.text_bytes);
   if (traced) {
     out->layers = r.layers;
-    out->fingerprint["era.vertical_rounds"] = r.layers.at("era.vertical_rounds");
+    const double vertical_rounds = r.layers.at("era.vertical_rounds");
+    auto [it, first] =
+        out->fingerprint.emplace("era.vertical_rounds", vertical_rounds);
+    if (!first && it->second != vertical_rounds) {
+      return era::Status::Corruption(
+          "a repeated traced build did not repeat its vertical rounds");
+    }
   }
   return era::Status::OK();
 }

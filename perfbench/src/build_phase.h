@@ -40,8 +40,8 @@ struct BuildOutcome {
   uint64_t text_bytes = 0;
   /// era.* and io.* metrics of the last traced repetition.
   std::map<std::string, double> layers;
-  /// Counts that must repeat exactly (prepare rounds, io amplification,
-  /// index size, and with tracing the vertical rounds).
+  /// Counts that must repeat exactly within a run (prepare rounds, io
+  /// amplification, index size, and with tracing the vertical rounds).
   std::map<std::string, double> fingerprint;
   /// Per text, the first repetition's prepare rounds, device bytes, index
   /// bytes and sub-trees; every later repetition must match.
@@ -51,9 +51,9 @@ struct BuildOutcome {
 /// Builds every text into its index_dir once and adds the repetition to
 /// `out`. The repetition runs in a process of its own, this driver started
 /// as `driver build-rep ...`, so its peak RSS and heap are its own. A traced
-/// repetition follows each build with a direct, timed VerticalPartition call
-/// and records the layer metrics. Returns an error when a build fails or
-/// does not repeat its counts.
+/// repetition follows each build with a direct VerticalPartition call for
+/// the plan's round count and records the layer metrics. Returns an error
+/// when a build fails or does not repeat its counts.
 era::Status RunBuildRep(const std::string& driver,
                         const std::vector<Corpus>& corpora,
                         const BuildSpec& spec, bool traced, BuildOutcome* out);

@@ -24,6 +24,38 @@ constexpr int kLoadRepeats = 3;
 constexpr std::size_t kProbePatterns = 256;
 constexpr std::size_t kOpenSamples = 1000;
 
+/// Pattern lengths of the mix: SamplePatternWorkload's default range.
+constexpr std::size_t kMinPatternLen = 4;
+constexpr std::size_t kMaxPatternLen = 24;
+
+/// The SamplePatternWorkload mix with fixed shares: pattern i has length
+/// kMinPatternLen + (i / 4) mod 21, so every length has the same share of
+/// Counts and of Locates whatever the seed. Drawing lengths at random would
+/// move the p99 with the seed: the Locates of the shortest patterns, which
+/// have the most occurrences, are about 1% of the queries.
+std::vector<std::string> SampleMix(const std::string& text, std::size_t n,
+                                   uint64_t seed) {
+  constexpr std::size_t kLengths = kMaxPatternLen - kMinPatternLen + 1;
+  std::vector<std::size_t> per_length(kLengths, 0);
+  for (std::size_t i = 0; i < n; ++i) ++per_length[(i / 4) % kLengths];
+  std::vector<std::vector<std::string>> by_length(kLengths);
+  for (std::size_t l = 0; l < kLengths; ++l) {
+    era::QueryWorkloadOptions mix;
+    mix.num_patterns = per_length[l];
+    mix.min_len = mix.max_len = kMinPatternLen + l;
+    mix.locate_limit = kLocateLimit;
+    mix.seed = seed * kLengths + l;
+    by_length[l] = era::SamplePatternWorkload(text, mix);
+  }
+  std::vector<std::string> patterns;
+  std::vector<std::size_t> taken(kLengths, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t l = (i / 4) % kLengths;
+    patterns.push_back(std::move(by_length[l][taken[l]++]));
+  }
+  return patterns;
+}
+
 /// Answers pattern `p` of the mix; returns its digest, or 0 on failure.
 uint64_t Answer(era::QueryEngine* engine, const std::string& pattern,
                 std::size_t p, era::Status* status) {
@@ -105,6 +137,67 @@ LoopResult ClosedLoop(era::QueryEngine* engine,
     if (out.note.empty()) out.note = c.note;
   }
   out.ops = out.latencies_ms.size();
+  return out;
+}
+
+struct DictResult {
+  double seconds = 0;
+  uint64_t passes = 0;
+  /// Per client, the counts of its first pass; its later passes were
+  /// compared with them.
+  std::vector<std::vector<uint64_t>> first_counts;
+  uint64_t failures = 0;
+  std::string note;
+};
+
+/// Closed loop of MatchDictionary passes, `passes` in all, from kClients
+/// threads: each client starts its next pass when its previous one
+/// returned. One thread alone would feel every slow spell of the core it
+/// runs on.
+DictResult DictionaryLoop(era::QueryEngine* engine,
+                          const std::vector<std::string>& dictionary,
+                          int passes) {
+  struct Client {
+    std::vector<uint64_t> counts;
+    uint64_t passes = 0;
+    uint64_t failures = 0;
+    std::string note;
+  };
+  std::vector<Client> per_client(kClients);
+  std::atomic<int> next{0};
+  const auto start = Clock::now();
+  auto run = [&](Client* c) {
+    while (next.fetch_add(1, std::memory_order_relaxed) < passes) {
+      ++c->passes;
+      auto outcomes = engine->MatchDictionary(dictionary);
+      if (!outcomes.ok()) {
+        c->failures += dictionary.size();
+        c->note = "dictionary pass: " + outcomes.status().ToString();
+        continue;
+      }
+      const bool first = c->counts.empty();
+      for (std::size_t i = 0; i < outcomes->size(); ++i) {
+        const era::DictOutcome& o = (*outcomes)[i];
+        if (first) c->counts.push_back(o.count);
+        if (!o.status.ok() || o.count != c->counts[i]) {
+          ++c->failures;
+          c->note = "dictionary pattern '" + dictionary[i] + "'";
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (Client& c : per_client) threads.emplace_back(run, &c);
+  for (std::thread& t : threads) t.join();
+
+  DictResult out;
+  out.seconds = SecondsSince(start);
+  for (Client& c : per_client) {
+    out.passes += c.passes;
+    out.failures += c.failures;
+    if (out.note.empty()) out.note = c.note;
+    if (!c.counts.empty()) out.first_counts.push_back(std::move(c.counts));
+  }
   return out;
 }
 
@@ -191,12 +284,12 @@ void ProbeSuffixTree(era::Env* env, const Corpus& corpus, Report* report,
 
 /// query layer, single thread: per pattern a warm-up Count makes its
 /// sub-tree resident, then Route, a warm Count and a warm Locate are timed.
-/// The node and text-read counts of this pass repeat exactly. The answer of
-/// the pattern's own kind must equal the loop's (`digests`).
-void ProbeQuery(era::QueryEngine* engine,
-                const std::vector<std::string>& patterns,
-                const std::vector<std::atomic<uint64_t>>& digests,
-                Report* report, QueryTally* tally) {
+/// The answer of the pattern's own kind must equal the loop's (`digests`).
+/// Returns the nodes the pass visited, a count that must repeat exactly.
+uint64_t ProbeQuery(era::QueryEngine* engine,
+                    const std::vector<std::string>& patterns,
+                    const std::vector<std::atomic<uint64_t>>& digests,
+                    Report* report, QueryTally* tally) {
   const era::QueryStats stats0 = engine->stats();
   const era::IoStats io0 = engine->io();
   const std::size_t stride = std::max<std::size_t>(
@@ -232,6 +325,7 @@ void ProbeQuery(era::QueryEngine* engine,
   tally->leaves += stats1.leaves_enumerated - stats0.leaves_enumerated;
   tally->text_reads += (io1.seeks + io1.sequential_refills) -
                        (io0.seeks + io0.sequential_refills);
+  return stats1.nodes_visited - stats0.nodes_visited;
 }
 
 }  // namespace
@@ -244,11 +338,7 @@ QueryPhase::QueryPhase(era::Env* env, const Corpus& corpus,
       cache_bytes_(spec.cache_bytes == 0
                        ? 2 * DirectoryBytes(corpus.index_dir)
                        : spec.cache_bytes) {
-  era::QueryWorkloadOptions mix;
-  mix.num_patterns = spec.num_patterns;
-  mix.locate_limit = kLocateLimit;
-  mix.seed = spec.seed;
-  patterns_ = era::SamplePatternWorkload(corpus.text, mix);
+  patterns_ = SampleMix(corpus.text, spec.num_patterns, spec.seed);
   digests_ = std::vector<std::atomic<uint64_t>>(patterns_.size());
   era::DictWorkloadOptions dict_mix;
   dict_mix.num_patterns = spec.dict_patterns;
@@ -256,11 +346,14 @@ QueryPhase::QueryPhase(era::Env* env, const Corpus& corpus,
   dictionary_ = era::SampleDictionaryWorkload(corpus.text, dict_mix);
 }
 
+void QueryPhase::SetUp(Report* report) {
+  static_cast<void>(
+      SetUpEngine(env_, corpus_, cache_bytes_, spec_.cache_bytes == 0, report));
+}
+
 void QueryPhase::Round(bool traced, Report* report) {
-  const auto setup_start = Clock::now();
   std::unique_ptr<era::QueryEngine> engine =
       SetUpEngine(env_, corpus_, cache_bytes_, spec_.cache_bytes == 0, report);
-  tally_.setup_s.push_back(SecondsSince(setup_start));
   if (engine == nullptr) return;
 
   const era::TreeIndex::CacheSnapshot cache0 = engine->cache();
@@ -285,36 +378,36 @@ void QueryPhase::Round(bool traced, Report* report) {
     tally_.loop_s += loop.seconds;
   }
 
-  for (int pass = 0; pass < spec_.dict_passes; ++pass) {
-    const era::QueryStats before = engine->stats();
-    const auto start = Clock::now();
-    auto outcomes = engine->MatchDictionary(dictionary_);
-    const double seconds = SecondsSince(start);
-    const era::QueryStats after = engine->stats();
-    report->Attempt(dictionary_.size());
-    if (!outcomes.ok()) {
-      for (std::size_t i = 0; i < dictionary_.size(); ++i) {
-        report->Fail("dictionary pass: " + outcomes.status().ToString());
-      }
-      return;
-    }
-    const bool first = dict_counts_.empty();
-    for (std::size_t i = 0; i < outcomes->size(); ++i) {
-      const era::DictOutcome& o = (*outcomes)[i];
-      if (first) dict_counts_.push_back(o.count);
-      if (!o.status.ok() || o.count != dict_counts_[i]) {
-        report->Fail("dictionary pattern '" + dictionary_[i] + "'");
+  const era::QueryStats before = engine->stats();
+  DictResult dict = DictionaryLoop(engine.get(), dictionary_,
+                                   spec_.dict_passes);
+  const era::QueryStats after = engine->stats();
+  report->Attempt(dict.passes * dictionary_.size());
+  for (uint64_t i = 0; i < dict.failures; ++i) report->Fail(dict.note);
+  for (const std::vector<uint64_t>& counts : dict.first_counts) {
+    if (dict_counts_.empty()) dict_counts_ = counts;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] != dict_counts_[i]) {
+        report->Fail("dictionary pattern '" + dictionary_[i] +
+                     "' changed its count between clients");
       }
     }
-    tally_.dict_pass_s.push_back(seconds);
-    if (first) {
-      tally_.dict_size = dictionary_.size();
-      tally_.dict_groups = after.dict_groups_formed - before.dict_groups_formed;
-      tally_.dict_nodes = after.nodes_visited - before.nodes_visited;
-      tally_.dict_shared =
-          after.dict_descents_shared - before.dict_descents_shared;
-      tally_.dict_saved = after.dict_descents_saved - before.dict_descents_saved;
-    }
+  }
+  tally_.dict_patterns += dict.passes * dictionary_.size();
+  tally_.dict_s += dict.seconds;
+  if (tally_.dict_size == 0 && dict.passes > 0) {
+    // Every pass does the same work, so the counters split evenly.
+    tally_.dict_size = dictionary_.size();
+    tally_.dict_groups =
+        (after.dict_groups_formed - before.dict_groups_formed) / dict.passes;
+    tally_.dict_nodes = (after.nodes_visited - before.nodes_visited) /
+                        dict.passes;
+    tally_.dict_shared =
+        (after.dict_descents_shared - before.dict_descents_shared) /
+        dict.passes;
+    tally_.dict_saved =
+        (after.dict_descents_saved - before.dict_descents_saved) /
+        dict.passes;
   }
 }
 
@@ -323,7 +416,12 @@ void QueryPhase::Probe(Report* report) {
   std::unique_ptr<era::QueryEngine> engine =
       SetUpEngine(env_, corpus_, cache_bytes_, spec_.cache_bytes == 0, report);
   if (engine == nullptr) return;
-  ProbeQuery(engine.get(), patterns_, digests_, report, &tally_);
+  const uint64_t nodes =
+      ProbeQuery(engine.get(), patterns_, digests_, report, &tally_);
+  if (ProbeQuery(engine.get(), patterns_, digests_, report, &tally_) !=
+      nodes) {
+    report->Invalidate("a repeated query probe visited another node count");
+  }
   const double ops = static_cast<double>(tally_.traced_latencies_ms.size());
   const double probes = std::max<double>(1, tally_.probes);
   const double per_query_ms =

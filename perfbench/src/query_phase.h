@@ -16,20 +16,23 @@
 
 namespace perfbench {
 
+/// Query work per round and text. The workload table sets the sizes; the
+/// run sets `loop_seconds` and `seed`.
 struct QuerySpec {
   /// Sub-tree cache budget; 0 means twice the index, filled during set-up.
-  uint64_t cache_bytes = 0;
-  /// Distinct patterns of the SamplePatternWorkload mix (3 Count : 1 Locate,
-  /// Locate limited to kLocateLimit, 10% absent).
-  std::size_t num_patterns = 2000;
+  uint64_t cache_bytes;
+  /// Patterns of the SamplePatternWorkload mix (3 Count : 1 Locate, Locate
+  /// limited to kLocateLimit, 10% absent, lengths 4-24 in equal shares).
+  std::size_t num_patterns;
   /// Per round, the closed loop runs at least `loop_passes` times through
   /// the patterns and for at least `loop_seconds`.
-  std::size_t loop_passes = 1;
-  double loop_seconds = 0;
-  /// Dictionary size, and MatchDictionary passes per round.
-  std::size_t dict_patterns = 2000;
-  int dict_passes = 3;
-  uint64_t seed = 1;
+  std::size_t loop_passes;
+  double loop_seconds;
+  /// Dictionary size, and MatchDictionary passes per round, shared by the
+  /// clients.
+  std::size_t dict_patterns;
+  int dict_passes;
+  uint64_t seed;
 };
 
 inline constexpr std::size_t kLocateLimit = 100;
@@ -41,13 +44,13 @@ inline constexpr unsigned kClients = 2;
 
 /// Raw measurements of one text's query phase.
 struct QueryTally {
-  // Set-up: engine opens (and cache fills), one entry per repetition.
-  std::vector<double> setup_s;
   // Untraced and traced closed loops.
   std::vector<double> latencies_ms, traced_latencies_ms;
   double loop_s = 0, traced_loop_s = 0;
-  // Dictionary passes: wall seconds per pass, and patterns per pass.
-  std::vector<double> dict_pass_s;
+  // Dictionary loops: patterns matched and wall seconds, summed over the
+  // rounds; patterns per pass.
+  uint64_t dict_patterns = 0;
+  double dict_s = 0;
   uint64_t dict_size = 0;
   // Per-layer sums (traced probes and loop).
   double load_s = 0;
@@ -81,14 +84,18 @@ class QueryPhase {
  public:
   QueryPhase(era::Env* env, const Corpus& corpus, const QuerySpec& spec);
 
-  /// One round on a freshly set-up engine: timed set-up (engine open, plus
-  /// the cache fill when warm), the closed loop, then dictionary passes. A
-  /// traced round also times a TreeIndex::Route span before each query and
-  /// reads the cache counters.
+  /// Sets up an engine as a round does (QueryEngine::Open, plus the cache
+  /// fill when warm), then closes it.
+  void SetUp(Report* report);
+
+  /// One round on a freshly set-up engine: the closed loop, then a closed
+  /// loop of dictionary passes. A traced round also times a TreeIndex::Route span before each
+  /// query and reads the cache counters.
   void Round(bool traced, Report* report);
 
   /// Traced runs: the suffixtree and query layer probes, on their own
-  /// engine and index.
+  /// engine and index. The query probe runs twice and must visit the same
+  /// nodes both times.
   void Probe(Report* report);
 
   const QueryTally& tally() const { return tally_; }
@@ -103,7 +110,7 @@ class QueryPhase {
   std::vector<std::string> patterns_;
   std::vector<std::atomic<uint64_t>> digests_;  // 0 = no answer yet
   std::vector<std::string> dictionary_;
-  std::vector<uint64_t> dict_counts_;           // from the first pass
+  std::vector<uint64_t> dict_counts_;           // from the first pass seen
   QueryTally tally_;
 };
 

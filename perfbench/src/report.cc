@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
 
 namespace perfbench {
 
@@ -19,6 +22,18 @@ double Quantile(std::vector<double> values, double q) {
 }
 
 double PeakRssMb() {
+  // VmHWM is the peak of this program's own address space. getrusage's
+  // ru_maxrss also holds the peak of the process that started this one,
+  // which a build process would report as its own.
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    uint64_t kib = 0;
+    if (key == "VmHWM:" && status >> kib) {
+      return static_cast<double>(kib) / 1024.0;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
