@@ -43,7 +43,12 @@ Alphabet Alphabet::English() {
   return *a;
 }
 
-Status Alphabet::ValidateText(const std::string& text) const {
+// Every materialized text passes through the per-byte loop below, which is
+// bound by instruction fetch: placed across a 64-byte line it ran ~25% slower
+// on a 4 MiB text (Xeon, g++ 12, -O2). Aligning the function fixes the loop's
+// placement, so the size of unrelated code no longer moves its speed.
+__attribute__((aligned(64))) Status Alphabet::ValidateText(
+    const std::string& text) const {
   if (text.empty() || text.back() != kTerminal) {
     return Status::InvalidArgument("text must end with the terminal byte");
   }

@@ -92,21 +92,6 @@ void DocEngine::ClassifyFailure(const Status& status, DocQueryStats* stats) {
   }
 }
 
-StatusOr<std::vector<DocHit>> DocEngine::HistogramWithStats(
-    const QueryContext& ctx, const std::string& pattern,
-    DocQueryStats* stats) {
-  ERA_RETURN_NOT_OK(ValidatePattern(pattern));
-  ++stats->queries;
-  // All occurrences, from the match node's contiguous descendant leaf-slot
-  // range (ascending after Locate's sort).
-  auto located = engine_->Locate(ctx, pattern);
-  if (!located.ok()) {
-    ClassifyFailure(located.status(), stats);
-    return located.status();
-  }
-  return HistogramFromOffsets(*located, stats);
-}
-
 std::vector<DocHit> DocEngine::HistogramFromOffsets(
     const std::vector<uint64_t>& offsets, DocQueryStats* stats) const {
   // Offsets ascend and document spans ascend, so grouping by document is a
@@ -157,8 +142,18 @@ StatusOr<std::vector<DocHit>> DocEngine::DocumentHistogram(
 
 StatusOr<std::vector<DocHit>> DocEngine::DocumentHistogram(
     const QueryContext& ctx, const std::string& pattern) {
+  ERA_RETURN_NOT_OK(ValidatePattern(pattern));
   DocQueryStats stats;
-  auto histogram = HistogramWithStats(ctx, pattern, &stats);
+  ++stats.queries;
+  // All occurrences, from the match node's contiguous descendant leaf-slot
+  // range (ascending after Locate's sort).
+  auto located = engine_->Locate(ctx, pattern);
+  if (!located.ok()) {
+    ClassifyFailure(located.status(), &stats);
+    FoldStats(stats);
+    return located.status();
+  }
+  std::vector<DocHit> histogram = HistogramFromOffsets(*located, &stats);
   FoldStats(stats);
   return histogram;
 }
@@ -235,28 +230,6 @@ StatusOr<std::vector<uint64_t>> DocEngine::LocateInDoc(
   return local;
 }
 
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const std::vector<std::string>& patterns) {
-  return CountDocsBatch(QueryContext::Background(), patterns);
-}
-
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  DocQueryStats stats;
-  std::vector<uint64_t> counts;
-  counts.reserve(patterns.size());
-  for (const std::string& pattern : patterns) {
-    auto histogram = HistogramWithStats(ctx, pattern, &stats);
-    if (!histogram.ok()) {
-      FoldStats(stats);
-      return histogram.status();
-    }
-    counts.push_back(histogram->size());
-  }
-  FoldStats(stats);
-  return counts;
-}
-
 StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
     const std::vector<std::string>& patterns) {
   return CountDocsDictionary(QueryContext::Background(), patterns);
@@ -285,8 +258,8 @@ StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
   options.locate = true;
   auto dict = engine_->MatchDictionary(ctx, valid, options);
   if (!dict.ok()) {
-    // The pass never ran (shed, or no reader session): propagate like the
-    // other batch entry points.
+    // The pass never ran (shed, or no reader session): propagate it as the
+    // outer status.
     ClassifyFailure(dict.status(), &stats);
     FoldStats(stats);
     return dict.status();
@@ -304,29 +277,6 @@ StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
   }
   FoldStats(stats);
   return outcomes;
-}
-
-StatusOr<std::vector<std::vector<DocHit>>> DocEngine::TopKDocumentsBatch(
-    const std::vector<std::string>& patterns, std::size_t k) {
-  return TopKDocumentsBatch(QueryContext::Background(), patterns, k);
-}
-
-StatusOr<std::vector<std::vector<DocHit>>> DocEngine::TopKDocumentsBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t k) {
-  DocQueryStats stats;
-  std::vector<std::vector<DocHit>> results;
-  results.reserve(patterns.size());
-  for (const std::string& pattern : patterns) {
-    auto histogram = HistogramWithStats(ctx, pattern, &stats);
-    if (!histogram.ok()) {
-      FoldStats(stats);
-      return histogram.status();
-    }
-    results.push_back(TopKFromHistogram(std::move(*histogram), k));
-  }
-  FoldStats(stats);
-  return results;
 }
 
 }  // namespace era

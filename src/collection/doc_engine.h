@@ -45,7 +45,7 @@ struct DocHit {
 /// underlying QueryEngine's QueryStats; these count catalog work and
 /// serving degradation as seen by collection callers).
 struct DocQueryStats {
-  /// Completed doc-level calls (batch items count individually).
+  /// Completed doc-level calls (dictionary items count individually).
   uint64_t queries = 0;
   /// Global occurrence offsets folded through the DocumentMap.
   uint64_t offsets_resolved = 0;
@@ -114,28 +114,17 @@ class DocEngine {
   StatusOr<std::vector<DocHit>> DocumentHistogram(const QueryContext& ctx,
                                                   const std::string& pattern);
 
-  /// Batched variants; answers are index-aligned with `patterns`. The
-  /// context overloads share one deadline across the batch and stop
-  /// mid-flight when it expires (remaining items are not attempted).
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(
-      const std::vector<std::string>& patterns, std::size_t k);
-  StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t k);
-
   /// Distinct-document counts (document frequency) for a whole dictionary
   /// in one batched pass: patterns share descents and leaf enumeration
   /// through QueryEngine::MatchDictionary — one sub-tree open and one leaf
   /// pass per touched sub-tree, regardless of dictionary size — then each
   /// pattern's ascending offsets fold through the DocumentMap with the
-  /// usual merge pass. Outcomes are index-aligned with `patterns` and
-  /// follow the per-item CountOutcome contract (`count` = distinct
-  /// documents containing the pattern); the outer status is non-OK only
-  /// when the batch never ran.
+  /// usual merge pass. This is the collection's one batched query path.
+  /// Outcomes are index-aligned with `patterns` and follow the per-item
+  /// CountOutcome contract (`count` = distinct documents containing the
+  /// pattern; terminal statuses stamp unresolved items in sorted-unique
+  /// order); the outer status is non-OK only when the dictionary never ran.
+  /// TopK over a dictionary is TopKDocuments per pattern.
   StatusOr<std::vector<CountOutcome>> CountDocsDictionary(
       const std::vector<std::string>& patterns);
   StatusOr<std::vector<CountOutcome>> CountDocsDictionary(
@@ -165,12 +154,6 @@ class DocEngine {
 
   /// Rejects patterns that could only match across the concatenated layout.
   Status ValidatePattern(const std::string& pattern) const;
-
-  /// Histogram core: one Locate + one merge pass; per-call counters are
-  /// accumulated into `stats`.
-  StatusOr<std::vector<DocHit>> HistogramWithStats(const QueryContext& ctx,
-                                                   const std::string& pattern,
-                                                   DocQueryStats* stats);
 
   /// The merge pass itself (ascending global offsets -> per-document
   /// histogram), shared by the single-pattern and dictionary paths.

@@ -8,9 +8,10 @@ namespace era {
 
 namespace {
 
-/// Mirrors the batch contract (query_engine.cc): the caller's deadline and
-/// cancellation stop the dictionary mid-flight; anything else is the
-/// pattern's (or its sub-tree's) own problem.
+/// The dictionary contract (CountOutcome in query_engine.h): the caller's
+/// deadline and cancellation stop the dictionary mid-flight and stamp every
+/// unresolved item; anything else is the pattern's (or its sub-tree's) own
+/// problem and stays with that item.
 bool TerminatesDictionary(const Status& status) {
   return status.IsDeadlineExceeded() || status.IsCancelled();
 }
@@ -304,8 +305,8 @@ void DictMatcher::Run(const std::vector<std::string>& patterns,
     unique_.push_back(std::move(up));
   }
 
-  // Group boundary loop. `terminal` flips once on deadline/cancel and
-  // stamps everything still unresolved, preserving the batch contract.
+  // Group boundary loop, in sorted-unique order. `terminal` flips once on
+  // deadline/cancel and stamps everything still unresolved in that order.
   Status terminal;
   std::size_t u = 0;
   while (u < unique_.size()) {
@@ -333,7 +334,9 @@ void DictMatcher::Run(const std::vector<std::string>& patterns,
           engine_->admission_.RecordOutcome(terminal);
           continue;  // stamped (with the rest) at the top of the loop
         }
-        StampUnresolved(u, s, /*counts_as_query=*/true);
+        // Count mode never fails here, and locate mode's LocateWithSession
+        // has already counted this query.
+        StampUnresolved(u, s, /*counts_as_query=*/false);
       }
       ++u;
       continue;

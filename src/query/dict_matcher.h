@@ -27,8 +27,8 @@
 //      ranges share decoded leaf runs instead of one CollectLeaves each.
 //
 // Deadline/cancel checkpoints sit at group and node boundaries plus every
-// device read; a terminal status stamps everything unresolved, matching the
-// batch stamp-the-remainder contract.
+// device read; a terminal status stamps everything unresolved in
+// sorted-unique order (the CountOutcome dictionary contract).
 
 #ifndef ERA_QUERY_DICT_MATCHER_H_
 #define ERA_QUERY_DICT_MATCHER_H_
@@ -89,8 +89,10 @@ class DictMatcher {
   void ResolveMatch(std::size_t w, const ServedSubTree& tree, uint32_t node,
                     std::vector<MatchedSlot>* matched);
   /// Stamps `status` on every item of `w` if it is still unresolved.
-  /// `counts_as_query` distinguishes an item that failed on its own (it ran)
-  /// from one stamped by someone else's terminal status (it never ran).
+  /// `counts_as_query` is true for an item that failed on its own and has
+  /// not been counted yet; it is false for one stamped by someone else's
+  /// terminal status (it never ran) and for one whose failing call already
+  /// counted itself (the trie path's LocateWithSession).
   void StampUnresolved(std::size_t w, const Status& status,
                        bool counts_as_query);
 

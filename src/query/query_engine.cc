@@ -1,7 +1,6 @@
 #include "query/query_engine.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace era {
 
@@ -23,7 +22,7 @@ const std::vector<QueryStatsField>& QueryStatsFields() {
            "Queries answered Unavailable (sub-tree could not be loaded)",
            &QueryStats::unavailable_queries},
           {"era_query_batch_duplicates_folded_total",
-           "Batch items answered by copying an identical earlier item",
+           "Dictionary items answered by copying an identical item",
            &QueryStats::batch_duplicates_folded},
           {"era_dict_groups_formed_total",
            "Same-sub-tree pattern groups formed by MatchDictionary",
@@ -584,185 +583,6 @@ StatusOr<bool> QueryEngine::Contains(const QueryContext& ctx,
                                      const std::string& pattern) {
   ERA_ASSIGN_OR_RETURN(uint64_t count, Count(ctx, pattern));
   return count > 0;
-}
-
-StatusOr<std::vector<uint64_t>> QueryEngine::CountBatch(
-    const std::vector<std::string>& patterns) {
-  // Context-free contract: abort on the first error (kept for existing
-  // callers). Still admission-tracked so Drain() covers it.
-  Permit permit;
-  ERA_RETURN_NOT_OK(admission_.Admit(QueryContext::Background(), &permit));
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  std::vector<uint64_t> counts;
-  counts.reserve(patterns.size());
-  // Identical patterns are answered once: the first occurrence does the
-  // descent, duplicates copy its result (views into `patterns`, which
-  // outlives the loop).
-  std::map<std::string_view, uint64_t> memo;
-  for (const std::string& pattern : patterns) {
-    auto it = memo.find(pattern);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      counts.push_back(it->second);
-      continue;
-    }
-    ERA_ASSIGN_OR_RETURN(
-        uint64_t count,
-        CountWithSession(lease.get(), QueryContext::Background(), pattern));
-    memo.emplace(pattern, count);
-    counts.push_back(count);
-  }
-  return counts;
-}
-
-StatusOr<std::vector<std::vector<uint64_t>>> QueryEngine::LocateBatch(
-    const std::vector<std::string>& patterns, std::size_t limit) {
-  Permit permit;
-  ERA_RETURN_NOT_OK(admission_.Admit(QueryContext::Background(), &permit));
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  std::vector<std::vector<uint64_t>> results;
-  results.reserve(patterns.size());
-  // Duplicate folding: memo values index the first occurrence's result so
-  // repeated offset vectors copy instead of re-enumerating leaves.
-  std::map<std::string_view, std::size_t> memo;
-  for (const std::string& pattern : patterns) {
-    auto it = memo.find(pattern);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      results.push_back(results[it->second]);
-      continue;
-    }
-    ERA_ASSIGN_OR_RETURN(auto hits,
-                         LocateWithSession(lease.get(),
-                                           QueryContext::Background(), pattern,
-                                           limit, LocateOrder::kSmallest));
-    memo.emplace(pattern, results.size());
-    results.push_back(std::move(hits));
-  }
-  return results;
-}
-
-namespace {
-
-/// Whether a per-item failure ends the whole batch: the caller's deadline
-/// and cancellation apply to the batch, not the item, so those stop it
-/// mid-flight; anything else (bad pattern, quarantined sub-tree) is that
-/// item's own problem.
-bool TerminatesBatch(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled();
-}
-
-}  // namespace
-
-StatusOr<std::vector<CountOutcome>> QueryEngine::CountBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  auto trace = MaybeStartTrace("count_batch", ctx);
-  if (trace == nullptr) return CountBatchImpl(ctx, patterns);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, CountBatchImpl(traced, patterns));
-}
-
-StatusOr<std::vector<CountOutcome>> QueryEngine::CountBatchImpl(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  std::vector<CountOutcome> outcomes(patterns.size());
-  Status terminal;
-  // Duplicate folding happens in original item order, AFTER the terminal
-  // check: a duplicate past the stop point is stamped like any other item,
-  // so the stamp-the-remainder contract is unchanged.
-  std::map<std::string_view, std::size_t> memo;
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    if (!terminal.ok()) {
-      outcomes[i].status = terminal;
-      continue;
-    }
-    auto it = memo.find(patterns[i]);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      outcomes[i] = outcomes[it->second];
-      continue;
-    }
-    auto result = CountWithSession(lease.get(), ctx, patterns[i]);
-    if (result.ok()) {
-      outcomes[i].count = *result;
-      memo.emplace(patterns[i], i);
-    } else {
-      outcomes[i].status = result.status();
-      if (TerminatesBatch(result.status())) {
-        terminal = result.status();
-        admission_.RecordOutcome(terminal);
-      } else {
-        // Per-item failures are deterministic for this batch; fold their
-        // duplicates too rather than re-failing the same way.
-        memo.emplace(patterns[i], i);
-      }
-    }
-  }
-  return outcomes;
-}
-
-StatusOr<std::vector<LocateOutcome>> QueryEngine::LocateBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t limit) {
-  auto trace = MaybeStartTrace("locate_batch", ctx);
-  if (trace == nullptr) return LocateBatchImpl(ctx, patterns, limit);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, LocateBatchImpl(traced, patterns, limit));
-}
-
-StatusOr<std::vector<LocateOutcome>> QueryEngine::LocateBatchImpl(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t limit) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  std::vector<LocateOutcome> outcomes(patterns.size());
-  Status terminal;
-  // Same in-order duplicate folding as CountBatchImpl.
-  std::map<std::string_view, std::size_t> memo;
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    if (!terminal.ok()) {
-      outcomes[i].status = terminal;
-      continue;
-    }
-    auto it = memo.find(patterns[i]);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      outcomes[i] = outcomes[it->second];
-      continue;
-    }
-    auto result = LocateWithSession(lease.get(), ctx, patterns[i], limit,
-                                    LocateOrder::kSmallest);
-    if (result.ok()) {
-      outcomes[i].offsets = std::move(*result);
-      memo.emplace(patterns[i], i);
-    } else {
-      outcomes[i].status = result.status();
-      if (TerminatesBatch(result.status())) {
-        terminal = result.status();
-        admission_.RecordOutcome(terminal);
-      } else {
-        memo.emplace(patterns[i], i);
-      }
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace era

@@ -82,9 +82,10 @@ struct QueryEngineOptions {
 /// Aggregate query-path counters (device traffic is in IoStats; these count
 /// tree work).
 struct QueryStats {
-  /// Completed Count/Locate/Contains calls (batch items count individually,
-  /// except duplicates folded from an earlier identical item — those count
-  /// only in batch_duplicates_folded).
+  /// Completed Count/Locate/Contains calls. Within a MatchDictionary each
+  /// distinct pattern that ran counts once; duplicate items count only in
+  /// batch_duplicates_folded, and items stamped by the dictionary's
+  /// deadline or cancellation never ran and do not count.
   uint64_t queries = 0;
   /// Counts answered from the trie alone (no sub-tree open).
   uint64_t trie_resolved_counts = 0;
@@ -96,8 +97,9 @@ struct QueryStats {
   /// loaded (corrupt or unreadable after retries). The failure is per-query:
   /// patterns routed to healthy sub-trees keep succeeding.
   uint64_t unavailable_queries = 0;
-  /// Batch items answered by copying the outcome of an identical earlier
-  /// pattern in the same batch (no descent, no leaf work).
+  /// MatchDictionary items answered by copying the outcome of an identical
+  /// pattern in the same dictionary (dedup runs before routing: no descent,
+  /// no leaf work).
   uint64_t batch_duplicates_folded = 0;
   /// Same-sub-tree pattern groups formed by MatchDictionary (one sub-tree
   /// open and one range descent per group).
@@ -131,18 +133,17 @@ struct QueryStatsField {
 };
 const std::vector<QueryStatsField>& QueryStatsFields();
 
-/// Per-item result of a context-aware batch. A batch stops mid-flight on
-/// deadline expiry or cancellation: items already answered keep their
-/// results, the item that hit the boundary and everything after it carry
-/// that terminal status. Non-fatal per-item failures (bad pattern, sub-tree
-/// unavailable) do not stop the batch.
+/// Per-item result of a dictionary call (MatchDictionary, and
+/// DocEngine::CountDocsDictionary on top of it). Each item either carries
+/// its correct answer or a non-OK status. Non-fatal per-item failures (bad
+/// pattern, sub-tree unavailable) stay with their item. A deadline expiry
+/// or cancellation is terminal: the dictionary stops there and stamps that
+/// status on every item it had not yet resolved. Items run in sorted-unique
+/// pattern order, not caller order, so the stamped items are the tail of
+/// that order and may sit anywhere among the caller's items.
 struct CountOutcome {
   Status status;
   uint64_t count = 0;
-};
-struct LocateOutcome {
-  Status status;
-  std::vector<uint64_t> offsets;
 };
 
 /// What a limited Locate promises about WHICH occurrences it returns.
@@ -172,7 +173,7 @@ struct DictMatchOptions {
 /// Per-pattern result of MatchDictionary. `count` is the full occurrence
 /// count in both modes; `offsets` is filled only in locate mode (ascending,
 /// at most locate_limit entries, smallest first). Per-item and terminal
-/// statuses follow the CountOutcome batch contract.
+/// statuses follow the CountOutcome dictionary contract.
 struct DictOutcome {
   Status status;
   uint64_t count = 0;
@@ -210,37 +211,19 @@ class QueryEngine {
   StatusOr<bool> Contains(const std::string& pattern);
   StatusOr<bool> Contains(const QueryContext& ctx, const std::string& pattern);
 
-  /// Batched variants: one leased reader session (and one admission permit)
-  /// serves the whole batch. Identical patterns in a batch are answered
-  /// once and the result fanned back out to every duplicate (counted in
-  /// QueryStats::batch_duplicates_folded); items are still processed — and
-  /// terminal statuses stamped — in their original order.
-  StatusOr<std::vector<uint64_t>> CountBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<std::vector<uint64_t>>> LocateBatch(
-      const std::vector<std::string>& patterns, std::size_t limit = SIZE_MAX);
-
-  /// Context-aware batches report per-item outcomes instead of aborting the
-  /// whole batch on the first error (see CountOutcome). The outer status is
-  /// only non-OK when the batch never ran (shed by admission, or no reader
-  /// session).
-  StatusOr<std::vector<CountOutcome>> CountBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit = SIZE_MAX);
-
   /// Shared-descent dictionary matching: answers the whole pattern set in
   /// one batched pass. Patterns are deduplicated and sorted (memcmp order,
   /// which is also the tree's child order), grouped by target sub-tree, and
   /// each group descends the tree with a pattern-range cursor — every tree
   /// edge is walked at most once per distinct shared prefix, and each
   /// touched sub-tree is opened exactly once. Results are byte-identical to
-  /// running the per-pattern Count/Locate loop. Outcomes are index-aligned
-  /// with `patterns`; the outer status is only non-OK when the batch never
-  /// ran (CountOutcome contract). Deadline/cancel checkpoints sit at group
-  /// and node boundaries, and a terminal status stamps the item that hit
-  /// the boundary plus everything unresolved after it.
+  /// running the per-pattern Count/Locate loop. This is the engine's one
+  /// batched query path: one admission permit and one leased reader session
+  /// serve the whole dictionary. Outcomes are index-aligned with
+  /// `patterns`; the outer status is only non-OK when the dictionary never
+  /// ran (shed by admission, or no reader session). Deadline/cancel
+  /// checkpoints sit at group and node boundaries, and a terminal status
+  /// stamps every item not yet resolved (CountOutcome contract).
   StatusOr<std::vector<DictOutcome>> MatchDictionary(
       const std::vector<std::string>& patterns,
       const DictMatchOptions& options = DictMatchOptions{});
@@ -366,11 +349,6 @@ class QueryEngine {
                                              const std::string& pattern,
                                              std::size_t limit,
                                              LocateOrder order);
-  StatusOr<std::vector<CountOutcome>> CountBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit);
   StatusOr<std::vector<DictOutcome>> MatchDictionaryImpl(
       const QueryContext& ctx, const std::vector<std::string>& patterns,
       const DictMatchOptions& options);

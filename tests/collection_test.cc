@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <string>
@@ -551,7 +552,7 @@ TEST(DocEngineTest, V1MirrorAnswersIdentically) {
   }
 }
 
-TEST(DocEngineTest, BatchedVariantsMatchSingles) {
+TEST(DocEngineTest, DictionaryMatchesSingles) {
   MemEnv env;
   CollectionBuilder builder(Alphabet::Dna(),
                             SmallCollectionOptions(&env, "/batch"));
@@ -560,24 +561,25 @@ TEST(DocEngineTest, BatchedVariantsMatchSingles) {
   auto engine = DocEngine::Open(&env, "/batch");
   ASSERT_TRUE(engine.ok());
 
-  std::vector<std::string> patterns = {"A", "AC", "GT", "ACGTACGT", "TTTT"};
-  auto counts = (*engine)->CountDocsBatch(patterns);
+  std::vector<std::string> patterns = {"A", "AC", "GT", "ACGTACGT", "TTTT",
+                                       "AC"};
+  auto counts = (*engine)->CountDocsDictionary(patterns);
   ASSERT_TRUE(counts.ok());
-  auto topks = (*engine)->TopKDocumentsBatch(patterns, 3);
-  ASSERT_TRUE(topks.ok());
   ASSERT_EQ(counts->size(), patterns.size());
-  ASSERT_EQ(topks->size(), patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
+    ASSERT_TRUE((*counts)[i].status.ok()) << (*counts)[i].status.ToString();
     auto count = (*engine)->CountDocs(patterns[i]);
     ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count);
+    EXPECT_EQ((*counts)[i].count, *count) << "pattern: " << patterns[i];
+    // TopK over a dictionary is TopKDocuments per pattern: it must agree
+    // with the histogram the dictionary count was folded from.
     auto topk = (*engine)->TopKDocuments(patterns[i], 3);
     ASSERT_TRUE(topk.ok());
-    EXPECT_EQ((*topks)[i], *topk);
+    auto histogram = (*engine)->DocumentHistogram(patterns[i]);
+    ASSERT_TRUE(histogram.ok());
+    EXPECT_EQ(*topk, TopKFromHistogram(*histogram, 3));
+    EXPECT_EQ(topk->size(), std::min<uint64_t>(3, (*counts)[i].count));
   }
-  // Errors propagate out of batches.
-  EXPECT_FALSE((*engine)->CountDocsBatch({"A", "|"}).ok());
-  EXPECT_FALSE((*engine)->TopKDocumentsBatch({"A", ""}, 2).ok());
 }
 
 }  // namespace

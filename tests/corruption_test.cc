@@ -191,5 +191,39 @@ TEST(CorruptionTest, MissingSubTreeFileIsUnavailableNotFatal) {
   EXPECT_TRUE(healthy.ok()) << healthy.status().ToString();
 }
 
+TEST(CorruptionTest, DictionaryCountsAnUnavailableTrieLocateOnce) {
+  MemEnv env;
+  Built().CloneInto(&env);
+  auto engine = QueryEngine::Open(&env, "/idx");
+  ASSERT_TRUE(engine.ok());
+  const SubTreeEntry& victim = Built().subtrees[0];
+  ASSERT_TRUE(env.DeleteFile("/idx/" + victim.filename).ok());
+  // The sub-tree's own prefix ends inside the trie, so a locate for it
+  // walks the trie's entries and fails opening the missing sub-tree.
+  const std::string pattern = victim.prefix;
+  ASSERT_TRUE((*engine)->index().Route(pattern).pattern_exhausted);
+
+  const QueryStats before_single = (*engine)->stats();
+  auto located = (*engine)->Locate(pattern);
+  EXPECT_TRUE(located.status().IsUnavailable()) << located.status().ToString();
+  const QueryStats after_single = (*engine)->stats();
+
+  DictMatchOptions locate_mode;
+  locate_mode.locate = true;
+  auto outcomes = (*engine)->MatchDictionary({pattern}, locate_mode);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), 1u);
+  EXPECT_TRUE((*outcomes)[0].status.IsUnavailable())
+      << (*outcomes)[0].status.ToString();
+  const QueryStats after_dict = (*engine)->stats();
+
+  // The dictionary bills the failed item exactly like the per-pattern call.
+  EXPECT_EQ(after_dict.queries - after_single.queries,
+            after_single.queries - before_single.queries);
+  EXPECT_EQ(after_dict.unavailable_queries - after_single.unavailable_queries,
+            after_single.unavailable_queries -
+                before_single.unavailable_queries);
+}
+
 }  // namespace
 }  // namespace era

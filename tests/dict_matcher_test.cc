@@ -232,8 +232,7 @@ TEST_F(DictMatcherTest, TrieResolvedMissingAndEmptyPatterns) {
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate folding: duplicated items must not add tree work, in the plain
-// batches and in the dictionary path.
+// Duplicate folding: duplicated items must not add tree work.
 // ---------------------------------------------------------------------------
 
 TEST_F(DictMatcherTest, BatchDuplicatesFoldWithoutExtraTreeWork) {
@@ -254,56 +253,18 @@ TEST_F(DictMatcherTest, BatchDuplicatesFoldWithoutExtraTreeWork) {
   }
   const uint64_t expected_folds = duplicated.size() - unique.size();
 
-  // Context-free CountBatch: the duplicated batch must cost exactly the
-  // unique batch's tree work (the regression this test pins).
-  QueryStats before = engine_->stats();
-  auto unique_counts = engine_->CountBatch(unique);
-  ASSERT_TRUE(unique_counts.ok());
-  QueryStats mid = engine_->stats();
-  auto dup_counts = engine_->CountBatch(duplicated);
-  ASSERT_TRUE(dup_counts.ok());
-  QueryStats after = engine_->stats();
-  EXPECT_EQ(after.nodes_visited - mid.nodes_visited,
-            mid.nodes_visited - before.nodes_visited);
-  EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,
-            mid.leaves_enumerated - before.leaves_enumerated);
-  EXPECT_EQ(after.batch_duplicates_folded - mid.batch_duplicates_folded,
-            expected_folds);
-  for (std::size_t i = 0; i < duplicated.size(); ++i) {
-    EXPECT_EQ((*dup_counts)[i], (*unique_counts)[i % unique.size()]);
-  }
-
-  // Context overload of LocateBatch: same fold, same answers per duplicate.
-  const QueryContext ctx;
-  before = engine_->stats();
-  auto unique_hits = engine_->LocateBatch(ctx, unique, 10);
-  ASSERT_TRUE(unique_hits.ok());
-  mid = engine_->stats();
-  auto dup_hits = engine_->LocateBatch(ctx, duplicated, 10);
-  ASSERT_TRUE(dup_hits.ok());
-  after = engine_->stats();
-  EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,
-            mid.leaves_enumerated - before.leaves_enumerated);
-  EXPECT_EQ(after.batch_duplicates_folded - mid.batch_duplicates_folded,
-            expected_folds);
-  for (std::size_t i = 0; i < duplicated.size(); ++i) {
-    ASSERT_TRUE((*dup_hits)[i].status.ok());
-    EXPECT_EQ((*dup_hits)[i].offsets,
-              (*unique_hits)[i % unique.size()].offsets);
-  }
-
-  // Dictionary path: duplicated items fold before routing, so descents and
-  // leaf enumeration match the unique run exactly.
+  // Duplicated items fold before routing, so descents and leaf
+  // enumeration match the unique run exactly.
   DictMatchOptions locate_mode;
   locate_mode.locate = true;
   locate_mode.locate_limit = 10;
-  before = engine_->stats();
+  const QueryStats before = engine_->stats();
   auto unique_dict = engine_->MatchDictionary(unique, locate_mode);
   ASSERT_TRUE(unique_dict.ok());
-  mid = engine_->stats();
+  const QueryStats mid = engine_->stats();
   auto dup_dict = engine_->MatchDictionary(duplicated, locate_mode);
   ASSERT_TRUE(dup_dict.ok());
-  after = engine_->stats();
+  const QueryStats after = engine_->stats();
   EXPECT_EQ(after.dict_descents_shared - mid.dict_descents_shared,
             mid.dict_descents_shared - before.dict_descents_shared);
   EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,

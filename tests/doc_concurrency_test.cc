@@ -1,7 +1,7 @@
 // Concurrent document-aware serving: one DocEngine hammered from 8 threads
-// with mixed CountDocs/TopKDocuments/LocateInDoc/batch traffic interleaved
-// with cache-evicting sweeps, checked against serially computed answers.
-// Runs under the ThreadSanitizer CI job.
+// with mixed CountDocs/TopKDocuments/LocateInDoc/CountDocsDictionary traffic
+// interleaved with cache-evicting sweeps, checked against serially computed
+// answers. Runs under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
@@ -107,9 +107,11 @@ TEST_F(DocConcurrencyTest, EightThreadsMatchSerialAnswers) {
             break;
           }
           default: {
-            auto counts = engine_->CountDocsBatch({pattern});
-            if (!counts.ok() || counts->size() != 1) ++errors;
-            else if ((*counts)[0] != expected_histograms_[i].size()) {
+            auto counts = engine_->CountDocsDictionary({pattern});
+            if (!counts.ok() || counts->size() != 1 ||
+                !(*counts)[0].status.ok()) {
+              ++errors;
+            } else if ((*counts)[0].count != expected_histograms_[i].size()) {
               ++mismatches;
             }
             break;

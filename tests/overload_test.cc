@@ -1,6 +1,6 @@
 // Engine-level overload behavior: deadline expiry and cancellation through
 // the full serving stack (admission -> trie descent -> sub-tree loads ->
-// reader refills), batches stopping mid-flight, drain semantics, and an
+// reader refills), dictionaries stopping mid-flight, drain semantics, and an
 // 8-thread deadline storm. Runs under the ThreadSanitizer CI job.
 //
 // The serving engines sit on a LatencyEnv over the MemEnv so queries cost
@@ -79,6 +79,28 @@ class OverloadTest : public ::testing::Test {
     return engine.ok() ? std::move(*engine) : nullptr;
   }
 
+  /// A locate-mode dictionary of uniform-random stragglers (no shared
+  /// anchors to amortize, many touched sub-trees): on a SlowEngine it stays
+  /// device-bound for hundreds of milliseconds.
+  std::vector<std::string> StragglerDictionary() const {
+    DictWorkloadOptions workload;
+    workload.num_patterns = 600;
+    workload.duplicate_fraction = 0;
+    workload.straggler_fraction = 1.0;
+    workload.mutant_fraction = 0.3;
+    workload.min_len = 6;
+    workload.max_len = 24;
+    workload.seed = 3;
+    return SampleDictionaryWorkload(text_, workload);
+  }
+
+  static DictMatchOptions LocateMode() {
+    DictMatchOptions options;
+    options.locate = true;
+    options.locate_limit = 25;
+    return options;
+  }
+
   MemEnv env_;
   std::string text_;
   std::unique_ptr<QueryEngine> fast_engine_;
@@ -115,79 +137,41 @@ TEST_F(OverloadTest, CancelledContextReportsCancelled) {
   EXPECT_GE(fast_engine_->serving().cancelled, 1u);
 }
 
-TEST_F(OverloadTest, MidBatchCancellationLeavesEngineReusable) {
-  // ~1ms of device time per request: a 600-item batch runs for hundreds of
-  // milliseconds, so a cancel fired at 60ms lands mid-flight.
-  QueryEngineOptions options;
-  options.cache.budget_bytes = 64 << 10;  // tiny cache: loads keep happening
-  auto engine = SlowEngine(0.001, options);
-  ASSERT_NE(engine, nullptr);
-
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 600; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
-
-  QueryContext ctx;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    ctx.cancel.Cancel();
-  });
-  auto outcomes = engine->LocateBatch(ctx, batch, 25);
-  canceller.join();
-  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), batch.size());
-
-  // Once an item observes the cancellation, it and every later item carry
-  // Cancelled; completed items keep their (correct) answers.
-  std::size_t first_cancelled = outcomes->size();
-  for (std::size_t i = 0; i < outcomes->size(); ++i) {
-    const LocateOutcome& outcome = (*outcomes)[i];
-    if (outcome.status.IsCancelled()) {
-      first_cancelled = std::min(first_cancelled, i);
-      continue;
-    }
-    ASSERT_LT(i, first_cancelled) << "non-cancelled item after cancellation";
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-    EXPECT_EQ(outcome.offsets, expected_hits_[i % patterns_.size()]);
-  }
-  EXPECT_LT(first_cancelled, outcomes->size()) << "cancel landed too late";
-  EXPECT_GE(engine->serving().cancelled, 1u);
-
-  // The engine (and its pooled readers) must be fully reusable.
-  for (std::size_t i = 0; i < 5; ++i) {
-    auto count = engine->Count(patterns_[i]);
-    ASSERT_TRUE(count.ok()) << count.status().ToString();
-    EXPECT_EQ(*count, expected_counts_[i]);
-  }
-}
-
-TEST_F(OverloadTest, BatchDeadlineStampsRemainingItems) {
+TEST_F(OverloadTest, DictionaryDeadlineStampsUnresolvedItems) {
   QueryEngineOptions options;
   options.cache.budget_bytes = 64 << 10;
   auto engine = SlowEngine(0.001, options);
   ASSERT_NE(engine, nullptr);
 
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 600; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
+  const std::vector<std::string> patterns = StragglerDictionary();
   QueryContext ctx = QueryContext::WithTimeout(0.05);
-  auto outcomes = engine->CountBatch(ctx, batch);
+  auto outcomes = engine->MatchDictionary(ctx, patterns, LocateMode());
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), batch.size());
-  // The tail of the batch must be DeadlineExceeded (the batch cannot finish
-  // 600 device-bound items in 50ms), and completed prefix items are correct.
-  EXPECT_TRUE(outcomes->back().status.IsDeadlineExceeded());
+  ASSERT_EQ(outcomes->size(), patterns.size());
+  // The dictionary cannot finish hundreds of milliseconds of device-bound
+  // work in 50ms. Items run in sorted-unique order, so the stamped items
+  // are not a tail of the caller's order; the contract is per item: either
+  // DeadlineExceeded (with no answer), or the full correct answer.
+  std::size_t stamped = 0;
   for (std::size_t i = 0; i < outcomes->size(); ++i) {
-    const CountOutcome& outcome = (*outcomes)[i];
-    if (outcome.status.ok()) {
-      EXPECT_EQ(outcome.count, expected_counts_[i % patterns_.size()]);
-    } else {
-      EXPECT_TRUE(outcome.status.IsDeadlineExceeded())
+    const DictOutcome& outcome = (*outcomes)[i];
+    if (!outcome.status.ok()) {
+      ASSERT_TRUE(outcome.status.IsDeadlineExceeded())
           << outcome.status.ToString();
+      EXPECT_EQ(outcome.count, 0u);
+      EXPECT_TRUE(outcome.offsets.empty());
+      ++stamped;
+      continue;
     }
+    auto count = fast_engine_->Count(patterns[i]);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(outcome.count, *count) << "pattern: " << patterns[i];
+    auto hits = fast_engine_->Locate(patterns[i], 25);
+    ASSERT_TRUE(hits.ok());
+    EXPECT_EQ(outcome.offsets, *hits) << "pattern: " << patterns[i];
   }
+  EXPECT_GT(stamped, 0u) << "the deadline expired too late to observe";
+  EXPECT_GE(engine->serving().deadline_exceeded, 1u);
 }
 
 TEST_F(OverloadTest, DeadlineStormKeepsEveryAnswerCorrectOrAbandoned) {
@@ -265,19 +249,21 @@ TEST_F(OverloadTest, DrainRejectsNewWorkWhileInFlightCompletes) {
   auto engine = SlowEngine(0.001, options);
   ASSERT_NE(engine, nullptr);
 
-  // A long device-bound batch holds its admission slot for its whole run
-  // (admission is disabled here — Drain's contract must hold regardless).
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 300; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
-  std::atomic<bool> batch_ok{false};
+  // A long device-bound dictionary holds its admission slot for its whole
+  // run (admission is disabled here — Drain's contract must hold
+  // regardless).
+  const std::vector<std::string> patterns = StragglerDictionary();
+  std::atomic<bool> dictionary_ok{false};
   std::thread in_flight([&] {
-    auto counts = engine->CountBatch(batch);
-    batch_ok.store(counts.ok() && counts->size() == batch.size());
+    auto outcomes = engine->MatchDictionary(patterns, LocateMode());
+    bool ok = outcomes.ok() && outcomes->size() == patterns.size();
+    for (std::size_t i = 0; ok && i < outcomes->size(); ++i) {
+      ok = (*outcomes)[i].status.ok();
+    }
+    dictionary_ok.store(ok);
   });
 
-  // Wait until the batch is genuinely in flight, then drain.
+  // Wait until the dictionary is genuinely in flight, then drain.
   const auto give_up = Clock::now() + std::chrono::seconds(5);
   while (engine->admission().in_flight() == 0 && Clock::now() < give_up) {
     std::this_thread::yield();
@@ -292,9 +278,9 @@ TEST_F(OverloadTest, DrainRejectsNewWorkWhileInFlightCompletes) {
                   .status()
                   .IsResourceExhausted());
 
-  // ...but the in-flight batch runs to completion, untouched.
+  // ...but the in-flight dictionary runs to completion, untouched.
   in_flight.join();
-  EXPECT_TRUE(batch_ok.load());
+  EXPECT_TRUE(dictionary_ok.load());
   engine->admission().WaitIdle();
   EXPECT_EQ(engine->admission().in_flight(), 0u);
 

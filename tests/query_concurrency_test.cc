@@ -1,7 +1,7 @@
 // Concurrent serving: one QueryEngine hammered from 8 threads with mixed
-// Count/Locate/Contains/batch traffic interleaved with cache-evicting
-// sweeps, checked against serially computed answers. Runs under the
-// ThreadSanitizer CI job.
+// Count/Locate/Contains/MatchDictionary traffic interleaved with
+// cache-evicting sweeps, checked against serially computed answers. Runs
+// under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
@@ -100,9 +100,13 @@ TEST_F(QueryConcurrencyTest, EightThreadsMatchSerialAnswers) {
             break;
           }
           default: {
-            auto counts = engine_->CountBatch({pattern});
-            if (!counts.ok() || counts->size() != 1) ++errors;
-            else if ((*counts)[0] != expected_counts_[i]) ++mismatches;
+            auto counts = engine_->MatchDictionary({pattern});
+            if (!counts.ok() || counts->size() != 1 ||
+                !(*counts)[0].status.ok()) {
+              ++errors;
+            } else if ((*counts)[0].count != expected_counts_[i]) {
+              ++mismatches;
+            }
             break;
           }
         }

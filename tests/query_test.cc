@@ -184,29 +184,6 @@ TEST_F(QueryEngineTest, CountNeverEnumeratesLeaves) {
   EXPECT_EQ(engine_->stats().leaves_enumerated, hits->size());
 }
 
-TEST_F(QueryEngineTest, BatchedApisMatchSingles) {
-  std::vector<std::string> patterns = {"A",
-                                       "ACG",
-                                       text_.substr(10, 12),
-                                       text_.substr(3000, 7),
-                                       "ACGTACGTACGTACGTACGTACGTACGTACGT"};
-  auto counts = engine_->CountBatch(patterns);
-  ASSERT_TRUE(counts.ok());
-  auto locates = engine_->LocateBatch(patterns, 20);
-  ASSERT_TRUE(locates.ok());
-  ASSERT_EQ(counts->size(), patterns.size());
-  ASSERT_EQ(locates->size(), patterns.size());
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    auto count = engine_->Count(patterns[i]);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count) << "pattern: " << patterns[i];
-    auto hits = engine_->Locate(patterns[i], 20);
-    ASSERT_TRUE(hits.ok());
-    EXPECT_EQ((*locates)[i], *hits) << "pattern: " << patterns[i];
-  }
-  EXPECT_FALSE(engine_->CountBatch({"A", ""}).ok());  // errors propagate
-}
-
 TEST_F(QueryEngineTest, CountUsesTrieWithoutSubTreeIo) {
   uint64_t reads_before = engine_->io().bytes_read;
   auto count = engine_->Count("A");  // resolvable from trie frequencies
