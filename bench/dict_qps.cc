@@ -1,10 +1,10 @@
 // Dictionary-matching benchmark: shared-descent MatchDictionary vs the
-// per-pattern Count loop vs Aho-Corasick text streaming, v2 and v3 formats.
+// per-pattern Count loop vs Aho-Corasick text streaming.
 //
-// Builds the same generated DNA index twice (counted v2, bit-packed v3),
-// samples one shared-prefix-heavy dictionary (SampleDictionaryWorkload:
-// anchor groups, duplicates, mutants, stragglers), then answers the whole
-// dictionary three ways and emits BENCH_dict.json:
+// Builds a generated DNA index, samples one shared-prefix-heavy dictionary
+// (SampleDictionaryWorkload: anchor groups, duplicates, mutants,
+// stragglers), then answers the whole dictionary three ways and emits
+// BENCH_dict.json:
 //
 //   * per_pattern — the oracle loop: one engine->Count per item. Every item
 //     pays its own root-to-locus descent, so shared prefixes are re-walked
@@ -22,7 +22,7 @@
 // hit rates), and every arm must produce the identical occurrence checksum
 // (sum of per-item counts, duplicates counted individually) — the bench
 // fails rather than publish rows that disagree. The headline self-guard:
-// dict must beat per_pattern by >= 1.5x on both formats.
+// dict must beat per_pattern by >= 1.5x.
 
 #include <unistd.h>
 
@@ -52,7 +52,6 @@ using bench::ArgOr;
 using bench::ScopedRemoveAll;
 
 struct Row {
-  std::string format;  // "v2" / "v3" / "-" (text scan)
   std::string arm;     // "per_pattern" / "dict" / "aho_corasick"
   double wall_seconds = 0;
   double patterns_per_second = 0;
@@ -96,23 +95,16 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  struct FormatInfo {
-    std::string name;
-    std::string dir;
-  };
-  std::vector<FormatInfo> formats = {{"v2", root + "/idx_v2"},
-                                     {"v3", root + "/idx_v3"}};
-  for (const FormatInfo& fmt : formats) {
+  const std::string index_dir = root + "/idx";
+  {
     BuildOptions options;
     options.env = posix;
-    options.work_dir = fmt.dir;
+    options.work_dir = index_dir;
     options.memory_budget = static_cast<uint64_t>(budget_mb * 1024 * 1024);
-    options.format = fmt.name == "v2" ? SubTreeFormat::kCounted
-                                      : SubTreeFormat::kPacked;
     EraBuilder builder(options);
     auto result = builder.Build(*info);
     if (!result.ok()) {
-      std::fprintf(stderr, "build (%s) failed: %s\n", fmt.name.c_str(),
+      std::fprintf(stderr, "build failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
@@ -130,10 +122,9 @@ int Main(int argc, char** argv) {
       static_cast<uint64_t>(cache_mb * 1024 * 1024);
 
   std::vector<Row> rows;
-  auto run_arm = [&](const FormatInfo& fmt, const std::string& arm,
-                     Row* row) -> bool {
+  auto run_arm = [&](const std::string& arm, Row* row) -> bool {
     // Fresh engine per arm: cold cache, comparable hit rates.
-    auto engine = QueryEngine::Open(&env, fmt.dir, engine_options);
+    auto engine = QueryEngine::Open(&env, index_dir, engine_options);
     if (!engine.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    engine.status().ToString().c_str());
@@ -167,7 +158,6 @@ int Main(int argc, char** argv) {
         checksum += outcome.count;
       }
     }
-    row->format = fmt.name;
     row->arm = arm;
     row->wall_seconds = timer.Seconds();
     row->patterns_per_second =
@@ -182,9 +172,9 @@ int Main(int argc, char** argv) {
     row->stats = (*engine)->stats();
     std::fprintf(
         stderr,
-        "format=%s arm=%-11s wall=%.3fs patterns/s=%.0f checksum=%llu "
+        "arm=%-11s wall=%.3fs patterns/s=%.0f checksum=%llu "
         "hit_rate=%.3f groups=%llu shared=%llu saved=%llu folded=%llu\n",
-        row->format.c_str(), row->arm.c_str(), row->wall_seconds,
+        row->arm.c_str(), row->wall_seconds,
         row->patterns_per_second,
         static_cast<unsigned long long>(row->checksum), row->cache_hit_rate,
         static_cast<unsigned long long>(row->stats.dict_groups_formed),
@@ -194,12 +184,10 @@ int Main(int argc, char** argv) {
     return true;
   };
 
-  for (const FormatInfo& fmt : formats) {
-    for (const char* arm : {"per_pattern", "dict"}) {
-      Row row;
-      if (!run_arm(fmt, arm, &row)) return 1;
-      rows.push_back(std::move(row));
-    }
+  for (const char* arm : {"per_pattern", "dict"}) {
+    Row row;
+    if (!run_arm(arm, &row)) return 1;
+    rows.push_back(std::move(row));
   }
 
   // Aho-Corasick baseline: automaton over the dictionary, one streaming
@@ -231,7 +219,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
     Row row;
-    row.format = "-";
     row.arm = "aho_corasick";
     row.wall_seconds = scan_timer.Seconds();
     row.patterns_per_second =
@@ -240,7 +227,7 @@ int Main(int argc, char** argv) {
             : 0;
     for (uint64_t c : per_id) row.checksum += c;
     std::fprintf(stderr,
-                 "format=- arm=aho_corasick build=%.3fs scan=%.3fs "
+                 "arm=aho_corasick build=%.3fs scan=%.3fs "
                  "patterns/s=%.0f checksum=%llu\n",
                  ac_build_seconds, row.wall_seconds, row.patterns_per_second,
                  static_cast<unsigned long long>(row.checksum));
@@ -251,28 +238,27 @@ int Main(int argc, char** argv) {
   for (const Row& row : rows) {
     if (row.checksum != rows[0].checksum) {
       std::fprintf(stderr,
-                   "FATAL: occurrence checksum diverges (%s/%s: %llu vs "
+                   "FATAL: occurrence checksum diverges (%s: %llu vs "
                    "%llu) — every arm must answer byte-identically\n",
-                   row.format.c_str(), row.arm.c_str(),
+                   row.arm.c_str(),
                    static_cast<unsigned long long>(row.checksum),
                    static_cast<unsigned long long>(rows[0].checksum));
       return 1;
     }
   }
-  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
-    const Row& per_pattern = rows[i];
-    const Row& dict = rows[i + 1];
+  {
+    const Row& per_pattern = rows[0];
+    const Row& dict = rows[1];
     const double speedup =
         per_pattern.wall_seconds > 0 && dict.wall_seconds > 0
             ? per_pattern.wall_seconds / dict.wall_seconds
             : 0;
-    std::fprintf(stderr, "format=%s dict speedup over per_pattern: %.2fx\n",
-                 per_pattern.format.c_str(), speedup);
+    std::fprintf(stderr, "dict speedup over per_pattern: %.2fx\n", speedup);
     if (speedup < 1.5) {
       std::fprintf(stderr,
-                   "FATAL: dict %.2fx over per_pattern on %s is below the "
-                   "1.5x floor\n",
-                   speedup, per_pattern.format.c_str());
+                   "FATAL: dict %.2fx over per_pattern is below the 1.5x "
+                   "floor\n",
+                   speedup);
       return 1;
     }
   }
@@ -309,14 +295,14 @@ int Main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(
         out,
-        "    {\"format\": \"%s\", \"arm\": \"%s\", \"wall_seconds\": %.3f, "
+        "    {\"arm\": \"%s\", \"wall_seconds\": %.3f, "
         "\"patterns_per_second\": %.1f, \"occurrence_checksum\": %llu, "
         "\"cache_hit_rate\": %.3f, \"queries\": %llu, "
         "\"nodes_visited\": %llu, \"leaves_enumerated\": %llu, "
         "\"trie_resolved_counts\": %llu, \"dict_groups_formed\": %llu, "
         "\"dict_descents_shared\": %llu, \"dict_descents_saved\": %llu, "
         "\"batch_duplicates_folded\": %llu}%s\n",
-        r.format.c_str(), r.arm.c_str(), r.wall_seconds,
+        r.arm.c_str(), r.wall_seconds,
         r.patterns_per_second, static_cast<unsigned long long>(r.checksum),
         r.cache_hit_rate, static_cast<unsigned long long>(r.stats.queries),
         static_cast<unsigned long long>(r.stats.nodes_visited),

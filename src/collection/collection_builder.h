@@ -11,7 +11,7 @@
 //
 //   <dir>/TEXT       the concatenated text (documents + separators + terminal)
 //   <dir>/MANIFEST   the usual index manifest (trie + sub-tree catalog)
-//   <dir>/st_*       v2 counted sub-tree files
+//   <dir>/st_*       v3 packed sub-tree files
 //   <dir>/DOCMAP     the document catalog (collection/document_map.h)
 
 #ifndef ERA_COLLECTION_COLLECTION_BUILDER_H_

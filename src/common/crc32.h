@@ -7,9 +7,9 @@
 //   * Crc32c — CRC-32C (Castagnoli, 0x82F63B78 reflected). This is the
 //     polynomial the SSE4.2 and ARMv8 CRC instructions implement, so the
 //     dispatched kernel runs at bus speed on both architectures; a table
-//     kernel covers everything else. Format-v2 files (the serving format)
-//     checksum with it, which matters because the CRC is paid on every
-//     sub-tree read and write.
+//     kernel covers everything else. Format-v2 and v3 files (v3 is the one
+//     builders write) checksum with it, which matters because the CRC is
+//     paid on every sub-tree read and write.
 //
 // Dispatch happens once per process (CPUID on x86-64, HWCAP on aarch64) and
 // is branch-free afterwards. Crc32cSoftware is exposed so tests can pin the

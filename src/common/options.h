@@ -110,10 +110,10 @@ struct BuildOptions {
   /// index is byte-identical to an uninterrupted build.
   bool resume = false;
 
-  /// On-disk sub-tree format to emit (node.h). kPacked (v3) bit-packs node
-  /// records and delta/varint-encodes leaf slots — typically 2-4x smaller on
-  /// disk and in the serving cache; kCounted (v2) writes fixed 32-byte
-  /// records. Readers accept both, and queries answer identically.
+  /// Unused: every builder writes v3 (bit-packed) sub-tree files and no
+  /// library code reads this field. It is kept only because the benchmark
+  /// driver still assigns it; the next change to that driver deletes both
+  /// the field and SubTreeFormat.
   SubTreeFormat format = SubTreeFormat::kPacked;
 
   /// Directory that receives serialized sub-trees and the index manifest.

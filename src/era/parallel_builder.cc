@@ -176,8 +176,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   BackgroundSubTreeWriter writer(
       env, /*num_threads=*/2,
       /*max_queued_bytes=*/
-      std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20),
-      options_.format);
+      std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20));
 
   // Stage 1: injection queue in tile-affinity-refined LPT order (groups
   // with overlapping text footprints run adjacently and convert each

@@ -10,8 +10,7 @@ namespace {
 
 /// Iterative DFS over one sub-tree invoking `visit(node, depth)` for every
 /// internal node with >= 2 children (true branching points). Walks the
-/// serving form through the NodeView cursor, so compressed (v3) trees are
-/// traversed without inflating.
+/// packed served form through the NodeView cursor, without inflating.
 template <typename Visit>
 void VisitBranchingNodes(const ServedSubTree& tree, Visit&& visit) {
   struct Frame {

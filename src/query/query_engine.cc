@@ -37,62 +37,6 @@ const std::vector<QueryStatsField>& QueryStatsFields() {
   return *fields;
 }
 
-void CollectLeaves(const TreeBuffer& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves, std::size_t limit) {
-  std::vector<uint32_t> stack{node};
-  while (!stack.empty() && leaves->size() < limit) {
-    uint32_t u = stack.back();
-    stack.pop_back();
-    const TreeNode& n = tree.node(u);
-    if (n.IsLeaf()) leaves->push_back(n.leaf_id);
-    // Push the children, then reverse the just-pushed segment in place so
-    // the first child is popped next (lexicographic emission) without a
-    // per-node scratch allocation.
-    std::size_t first = stack.size();
-    for (uint32_t c = n.first_child; c != kNilNode;
-         c = tree.node(c).next_sibling) {
-      stack.push_back(c);
-    }
-    std::reverse(stack.begin() + first, stack.end());
-  }
-}
-
-void CollectLeaves(const CountedTree& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves) {
-  // Background() never expires, so the context-aware scan cannot fail.
-  Status s = CollectLeaves(tree, node, QueryContext::Background(), leaves);
-  (void)s;
-}
-
-Status CollectLeaves(const CountedTree& tree, uint32_t node,
-                     const QueryContext& ctx, std::vector<uint64_t>* leaves) {
-  const CountedNode& n = tree.node(node);
-  if (n.IsLeaf()) {
-    leaves->push_back(n.leaf_id());
-    return Status::OK();
-  }
-  // The strict descendants of `node` occupy one contiguous slot range
-  // starting at children_begin (enforced at load; see serializer.cc), so
-  // every leaf below sits in that range and the scan stops once the
-  // subtree's leaf count is met. The context is re-checked every block of
-  // slots: fine enough that a deadline abandon costs microseconds, coarse
-  // enough that the clock read vanishes against the scan.
-  constexpr uint32_t kCheckEverySlots = 4096;
-  uint64_t remaining = n.leaf_or_count;
-  leaves->reserve(leaves->size() + remaining);
-  for (uint32_t i = n.children_begin; remaining > 0 && i < tree.size(); ++i) {
-    if ((i - n.children_begin) % kCheckEverySlots == 0) {
-      ERA_RETURN_NOT_OK(ctx.Check());
-    }
-    const CountedNode& c = tree.node(i);
-    if (c.IsLeaf()) {
-      leaves->push_back(c.leaf_id());
-      --remaining;
-    }
-  }
-  return Status::OK();
-}
-
 namespace {
 
 /// Process-wide engine numbering for the {engine="N"} instance label: a

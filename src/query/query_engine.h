@@ -5,11 +5,10 @@
 // replacing the pointer-trie walk) to the responsible sub-tree, loads it
 // through the index's sharded LRU cache, and continues matching against edge
 // labels resolved from the text through a buffered reader. Sub-trees are
-// walked in their serving form (ServedSubTree): compressed v3 payloads are
-// never inflated — child lookup is a binary search over the bit-packed,
-// first-symbol-sorted child block, and Count reads the match node's stored
-// subtree leaf count, so the O(|P|) bound holds with zero leaf enumeration
-// for either format.
+// walked in their packed served form (ServedSubTree) and never inflated —
+// child lookup is a binary search over the bit-packed, first-symbol-sorted
+// child block, and Count reads the match node's stored subtree leaf count,
+// so the O(|P|) bound holds with zero leaf enumeration.
 //
 // The engine is thread-safe: any number of threads may issue queries
 // concurrently. Each call leases a text-reader session from an internal pool
@@ -404,23 +403,6 @@ class QueryEngine {
   std::unique_ptr<TraceRecorder> tracer_;
   std::atomic<uint64_t> trace_tick_{0};  // sampling counter
 };
-
-/// Collects the leaf ids under `node` in DFS (lexicographic) order, up to
-/// `limit` (test- and query-shared helper for linked trees).
-void CollectLeaves(const TreeBuffer& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves, std::size_t limit);
-
-/// Counted-layout collection: appends ALL leaf ids under `node` by linearly
-/// scanning its contiguous descendant block (stops after the node's subtree
-/// leaf count; not lexicographic — callers sort).
-void CollectLeaves(const CountedTree& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves);
-
-/// Context-aware counted-layout collection: same scan, but the context is
-/// checked every few thousand slots so a huge enumeration (the expensive
-/// tail of Locate) abandons promptly on deadline expiry or cancellation.
-Status CollectLeaves(const CountedTree& tree, uint32_t node,
-                     const QueryContext& ctx, std::vector<uint64_t>* leaves);
 
 }  // namespace era
 

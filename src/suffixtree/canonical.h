@@ -30,8 +30,8 @@ struct SaLcp {
 /// checks it).
 SaLcp TreeToSaLcp(const TreeBuffer& tree);
 SaLcp TreeToSaLcp(const CountedTree& tree);
-/// Serving-form overload: walks the NodeView cursor API directly, so it works
-/// on both counted and compressed (format v3) trees without inflating.
+/// Served-form overload: walks the NodeView cursor API directly over the
+/// packed records, without inflating.
 SaLcp TreeToSaLcp(const ServedSubTree& tree);
 
 /// Leaf count of the tree (number of suffixes indexed). Both overloads scan

@@ -27,7 +27,7 @@ uint64_t ReadRestart(const std::string& blob, uint64_t restarts_off,
 
 }  // namespace
 
-std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
+std::string ServedSubTree::EncodePayload(const CountedTree& tree) {
   const uint32_t n = tree.size();
   PackedHeader h;
   h.leaf_restart_interval = kLeafRestartInterval;
@@ -108,7 +108,7 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
   return payload;
 }
 
-StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
+StatusOr<ServedSubTree> ServedSubTree::FromPayload(
     std::string payload, uint64_t node_count) {
   if (payload.size() < sizeof(PackedHeader)) {
     return Status::Corruption("packed subtree payload shorter than header");
@@ -157,7 +157,7 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
     return Status::Corruption("packed subtree payload size mismatch");
   }
 
-  CompressedSubTree t;
+  ServedSubTree t;
   t.payload_bytes_ = payload.size();
   t.blob_ = std::move(payload);
   t.blob_.append(kBitReaderPadBytes, '\0');
@@ -286,7 +286,7 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   return t;
 }
 
-NodeView CompressedSubTree::node(uint32_t i) const {
+NodeView ServedSubTree::node(uint32_t i) const {
   const BitReader records(blob_.data() + records_off_,
                           blob_.size() - records_off_);
   uint64_t bit = static_cast<uint64_t>(i) * record_bits_;
@@ -307,7 +307,7 @@ NodeView CompressedSubTree::node(uint32_t i) const {
   return v;
 }
 
-uint64_t CompressedSubTree::LeafId(uint64_t rank) const {
+uint64_t ServedSubTree::LeafId(uint64_t rank) const {
   const char* stream = blob_.data() + leaves_off_;
   const uint64_t block = rank / header_.leaf_restart_interval;
   std::size_t pos = ReadRestart(blob_, restarts_off_, block);
@@ -321,7 +321,7 @@ uint64_t CompressedSubTree::LeafId(uint64_t rank) const {
   return v;
 }
 
-Status CompressedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
+Status ServedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
                                           const QueryContext* ctx,
                                           std::size_t limit,
                                           std::vector<uint64_t>* out) const {
@@ -352,7 +352,7 @@ Status CompressedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
   return Status::OK();
 }
 
-StatusOr<CountedTree> CompressedSubTree::Inflate() const {
+StatusOr<CountedTree> ServedSubTree::Inflate() const {
   std::vector<uint64_t> leaves;
   leaves.reserve(header_.leaf_count);
   ERA_RETURN_NOT_OK(DecodeLeafRange(0, header_.leaf_count, nullptr,
@@ -372,50 +372,11 @@ StatusOr<CountedTree> CompressedSubTree::Inflate() const {
   return out;
 }
 
-NodeView ServedSubTree::node(uint32_t i) const {
-  if (compressed_) return packed_.node(i);
-  const CountedNode& u = counted_.node(i);
-  NodeView v;
-  v.edge_start = u.edge_start;
-  v.edge_len = u.edge_len;
-  v.count = u.LeafCount();
-  v.leaf_ref = u.IsLeaf() ? u.leaf_id() : 0;
-  v.children_begin = u.children_begin;
-  v.num_children = u.num_children;
-  return v;
-}
-
 Status ServedSubTree::CollectLeaves(uint32_t slot, const QueryContext* ctx,
                                     std::size_t limit,
                                     std::vector<uint64_t>* out) const {
-  if (limit == 0) return Status::OK();
-  if (compressed_) {
-    const NodeView v = packed_.node(slot);
-    return packed_.DecodeLeafRange(v.leaf_ref, v.count, ctx, limit, out);
-  }
-  const CountedNode& u = counted_.node(slot);
-  if (u.IsLeaf()) {
-    out->push_back(u.leaf_id());
-    return Status::OK();
-  }
-  // Canonical layout: the strict descendants of `slot` are one contiguous
-  // slot range starting at children_begin, so scan forward until the
-  // subtree's leaves are exhausted.
-  uint64_t remaining = u.LeafCount();
-  std::size_t appended = 0;
-  for (uint32_t i = u.children_begin; remaining > 0 && i < counted_.size();
-       ++i) {
-    if (ctx != nullptr && (i % kCtxCheckStride) == 0) {
-      ERA_RETURN_NOT_OK(ctx->Check());
-    }
-    const CountedNode& c = counted_.node(i);
-    if (c.IsLeaf()) {
-      out->push_back(c.leaf_id());
-      --remaining;
-      if (++appended >= limit) break;
-    }
-  }
-  return Status::OK();
+  const NodeView v = node(slot);
+  return DecodeLeafRange(v.leaf_ref, v.count, ctx, limit, out);
 }
 
 Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
@@ -423,103 +384,43 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
                                         std::vector<uint64_t>* buffer,
                                         std::vector<LeafSlice>* slices) const {
   slices->assign(slots.size(), LeafSlice{});
-  if (slots.empty()) return Status::OK();
-
-  if (compressed_) {
-    // v3: each slot's leaves are the contiguous leaf-rank range
-    // [leaf_ref, leaf_ref + count). Laminar ranges sorted by start are
-    // either nested in the previous maximal run or start at/after its end,
-    // so one DecodeLeafRange per maximal run covers everything and nested
-    // requests alias into the run's decoded span.
-    struct Req {
-      uint64_t begin = 0;
-      uint64_t count = 0;
-      std::size_t idx = 0;
-    };
-    std::vector<Req> reqs(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const NodeView v = packed_.node(slots[i]);
-      reqs[i] = Req{v.leaf_ref, v.count, i};
-    }
-    std::sort(reqs.begin(), reqs.end(), [](const Req& a, const Req& b) {
-      if (a.begin != b.begin) return a.begin < b.begin;
-      return a.count > b.count;  // outermost first on shared starts
-    });
-    uint64_t run_begin = 0;
-    uint64_t run_end = 0;  // empty run sentinel: nothing nests in [0, 0)
-    std::size_t run_base = 0;
-    for (const Req& req : reqs) {
-      const bool nested = run_end > run_begin && req.begin >= run_begin &&
-                          req.begin + req.count <= run_end;
-      if (!nested) {
-        run_begin = req.begin;
-        run_end = req.begin + req.count;
-        run_base = buffer->size();
-        ERA_RETURN_NOT_OK(packed_.DecodeLeafRange(
-            req.begin, req.count, ctx, static_cast<std::size_t>(-1), buffer));
-      }
-      (*slices)[req.idx] =
-          LeafSlice{run_base + static_cast<std::size_t>(req.begin - run_begin),
-                    static_cast<std::size_t>(req.count)};
-    }
-    return Status::OK();
-  }
-
-  // Counted layout: a request's leaves are found by scanning forward from
-  // scan_begin (children_begin for internal nodes, the slot itself for a
-  // leaf) until its leaf budget is met. Requests sorted by scan_begin are
-  // activated as one merged forward scan reaches them — a nested request's
-  // leaves are a contiguous subrange of its ancestor's emission — and the
-  // scan jumps over the gap between disjoint requests instead of walking it.
+  // Each slot's leaves are the contiguous leaf-rank range [leaf_ref,
+  // leaf_ref + count). Laminar ranges sorted by start are either nested in
+  // the previous maximal run or start at/after its end, so one
+  // DecodeLeafRange per maximal run covers everything and nested requests
+  // alias into the run's decoded span.
   struct Req {
-    uint32_t scan_begin = 0;
-    uint64_t budget = 0;
+    uint64_t begin = 0;
+    uint64_t count = 0;
     std::size_t idx = 0;
   };
   std::vector<Req> reqs(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    const CountedNode& u = counted_.node(slots[i]);
-    reqs[i] = u.IsLeaf() ? Req{slots[i], 1, i}
-                         : Req{u.children_begin, u.LeafCount(), i};
+    const NodeView v = node(slots[i]);
+    reqs[i] = Req{v.leaf_ref, v.count, i};
   }
   std::sort(reqs.begin(), reqs.end(), [](const Req& a, const Req& b) {
-    if (a.scan_begin != b.scan_begin) return a.scan_begin < b.scan_begin;
-    return a.budget > b.budget;  // outermost first on shared starts
+    if (a.begin != b.begin) return a.begin < b.begin;
+    return a.count > b.count;  // outermost first on shared starts
   });
-  std::size_t r = 0;
-  uint64_t steps = 0;
-  while (r < reqs.size()) {
-    uint32_t pos = reqs[r].scan_begin;  // new maximal run starts here
-    std::size_t need_end = buffer->size();
-    while (true) {
-      while (r < reqs.size() && reqs[r].scan_begin == pos) {
-        (*slices)[reqs[r].idx] =
-            LeafSlice{buffer->size(), static_cast<std::size_t>(reqs[r].budget)};
-        const std::size_t end = buffer->size() +
-                                static_cast<std::size_t>(reqs[r].budget);
-        need_end = std::max(need_end, end);
-        ++r;
-      }
-      if (buffer->size() >= need_end) break;  // run satisfied; skip the gap
-      if (pos >= counted_.size()) {
-        return Status::Corruption("leaf slices exceed sub-tree");
-      }
-      if (ctx != nullptr && (steps++ % kCtxCheckStride) == 0) {
-        ERA_RETURN_NOT_OK(ctx->Check());
-      }
-      const CountedNode& c = counted_.node(pos);
-      if (c.IsLeaf()) buffer->push_back(c.leaf_id());
-      ++pos;
+  uint64_t run_begin = 0;
+  uint64_t run_end = 0;  // empty run sentinel: nothing nests in [0, 0)
+  std::size_t run_base = 0;
+  for (const Req& req : reqs) {
+    const bool nested = run_end > run_begin && req.begin >= run_begin &&
+                        req.begin + req.count <= run_end;
+    if (!nested) {
+      run_begin = req.begin;
+      run_end = req.begin + req.count;
+      run_base = buffer->size();
+      ERA_RETURN_NOT_OK(DecodeLeafRange(req.begin, req.count, ctx,
+                                        static_cast<std::size_t>(-1), buffer));
     }
+    (*slices)[req.idx] =
+        LeafSlice{run_base + static_cast<std::size_t>(req.begin - run_begin),
+                  static_cast<std::size_t>(req.count)};
   }
   return Status::OK();
-}
-
-StatusOr<CountedTree> ServedSubTree::Inflate() const {
-  if (compressed_) return packed_.Inflate();
-  CountedTree copy;
-  copy.mutable_nodes() = counted_.nodes();
-  return copy;
 }
 
 }  // namespace era

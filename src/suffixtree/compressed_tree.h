@@ -1,5 +1,6 @@
-// Format-v3 compressed sub-tree: the serving form that is cached without
-// inflating back to CountedNode.
+// The served sub-tree: the format-v3 bit-packed form, the only form any
+// sub-tree takes in memory. It is cached and walked without inflating back
+// to CountedNode; v1/v2 files are re-encoded into it when they load.
 //
 // On-disk payload (after the shared 32-byte file header + prefix bytes):
 //
@@ -83,13 +84,23 @@ struct NodeView {
   bool IsLeaf() const { return num_children == 0; }
 };
 
-/// A validated v3 payload served in place: random node access via BitReader,
-/// lazy leaf-range decode via the restart array. Immutable after FromPayload.
-class CompressedSubTree {
+/// One request's answer inside a shared leaf buffer: `buffer[offset,
+/// offset + count)` are the suffix offsets of the leaves under the
+/// requested slot, in slot order.
+struct LeafSlice {
+  std::size_t offset = 0;
+  std::size_t count = 0;
+};
+
+/// The one form every sub-tree is served and cached in: a validated v3
+/// payload walked in place — random node access via BitReader, lazy
+/// leaf-range decode via the restart array. v1/v2 files are re-encoded into
+/// it at load (serializer.h). Immutable after FromPayload.
+class ServedSubTree {
  public:
-  CompressedSubTree() = default;
-  CompressedSubTree(CompressedSubTree&&) = default;
-  CompressedSubTree& operator=(CompressedSubTree&&) = default;
+  ServedSubTree() = default;
+  ServedSubTree(ServedSubTree&&) = default;
+  ServedSubTree& operator=(ServedSubTree&&) = default;
 
   /// Encodes `tree` (canonical counted layout; caller has validated it) into
   /// a v3 payload. Deterministic: same tree, same bytes.
@@ -98,8 +109,8 @@ class CompressedSubTree {
   /// Parses + fully validates a payload of `node_count` nodes. Returns
   /// Corruption on any structural or size inconsistency. Takes the payload
   /// by value and keeps it (plus reader pad) as the resident blob.
-  static StatusOr<CompressedSubTree> FromPayload(std::string payload,
-                                                 uint64_t node_count);
+  static StatusOr<ServedSubTree> FromPayload(std::string payload,
+                                             uint64_t node_count);
 
   uint32_t size() const { return node_count_; }
   uint64_t LeafCount() const { return header_.leaf_count; }
@@ -113,6 +124,8 @@ class CompressedSubTree {
 
   /// Suffix offset of the leaf with slot-order rank `rank` (< LeafCount()).
   uint64_t LeafId(uint64_t rank) const;
+  /// Suffix offset of leaf `v` (v.IsLeaf() must hold).
+  uint64_t LeafIdOf(const NodeView& v) const { return LeafId(v.leaf_ref); }
 
   /// Appends the suffix offsets of leaf ranks [rank_begin, rank_begin +
   /// count) to `out`, in slot order, stopping early once `limit` total
@@ -122,9 +135,28 @@ class CompressedSubTree {
                          const QueryContext* ctx, std::size_t limit,
                          std::vector<uint64_t>* out) const;
 
+  /// Appends the suffix offsets of all leaves under slot `slot` to `out`
+  /// (slot order), stopping after `limit` appended values. `ctx` nullable.
+  Status CollectLeaves(uint32_t slot, const QueryContext* ctx,
+                       std::size_t limit, std::vector<uint64_t>* out) const;
+
+  /// Batched leaf enumeration: resolves every slot in `slots` in ONE pass
+  /// over the leaf stream instead of one CollectLeaves per slot. Appends
+  /// leaves to `buffer` and fills `slices` (index-aligned with `slots`;
+  /// offsets are absolute indices into `buffer`). Exploits the
+  /// laminar-family property of match loci — two slots' leaf ranges are
+  /// nested or disjoint, never partially overlapping — so one restart-block
+  /// decode per maximal run serves every request nested in it. Duplicate
+  /// slots are fine and share a slice. `ctx` (nullable) is checked
+  /// periodically.
+  Status CollectLeafSlices(const std::vector<uint32_t>& slots,
+                           const QueryContext* ctx,
+                           std::vector<uint64_t>* buffer,
+                           std::vector<LeafSlice>* slices) const;
+
   /// Exact reconstruction of the counted form this payload was encoded from
   /// (byte-identical nodes). Used by consumers that need CountedNode — the
-  /// validator, TRELLIS merge, v3→v2 conversion.
+  /// validator and the linked-form reader (TRELLIS merge, compat fixtures).
   StatusOr<CountedTree> Inflate() const;
 
   const PackedHeader& header() const { return header_; }
@@ -138,82 +170,6 @@ class CompressedSubTree {
   uint64_t leaves_off_ = 0;    // byte offset of the leaf stream
   uint32_t node_count_ = 0;
   uint32_t record_bits_ = 0;   // sum of the six field widths
-};
-
-/// One request's answer inside a shared leaf buffer: `buffer[offset,
-/// offset + count)` are the suffix offsets of the leaves under the
-/// requested slot, in slot order.
-struct LeafSlice {
-  std::size_t offset = 0;
-  std::size_t count = 0;
-};
-
-/// What TreeIndex caches and the query path walks: either a CountedTree
-/// (v1/v2 files) or a CompressedSubTree (v3 files), behind one NodeView
-/// cursor API so MatchInSubTree/CollectLeaves never branch on format except
-/// through this type.
-class ServedSubTree {
- public:
-  ServedSubTree() = default;
-  explicit ServedSubTree(CountedTree tree)
-      : counted_(std::move(tree)), compressed_(false) {}
-  explicit ServedSubTree(CompressedSubTree tree)
-      : packed_(std::move(tree)), compressed_(true) {}
-  ServedSubTree(ServedSubTree&&) = default;
-  ServedSubTree& operator=(ServedSubTree&&) = default;
-
-  bool compressed() const { return compressed_; }
-
-  uint32_t size() const {
-    return compressed_ ? packed_.size() : counted_.size();
-  }
-  uint64_t LeafCount() const {
-    return compressed_ ? packed_.LeafCount() : counted_.LeafCount();
-  }
-  /// Resident bytes — the cache charge. This is where v3 wins: the packed
-  /// blob instead of 32 bytes/node.
-  uint64_t MemoryBytes() const {
-    return compressed_ ? packed_.MemoryBytes() : counted_.MemoryBytes();
-  }
-
-  NodeView node(uint32_t i) const;
-
-  /// Suffix offset of leaf `v` (v.IsLeaf() must hold).
-  uint64_t LeafIdOf(const NodeView& v) const {
-    return compressed_ ? packed_.LeafId(v.leaf_ref) : v.leaf_ref;
-  }
-
-  /// Appends the suffix offsets of all leaves under slot `slot` to `out`
-  /// (slot order), stopping after `limit` appended values. `ctx` nullable.
-  Status CollectLeaves(uint32_t slot, const QueryContext* ctx,
-                       std::size_t limit, std::vector<uint64_t>* out) const;
-
-  /// Batched leaf enumeration: resolves every slot in `slots` in ONE pass
-  /// over the tree's leaf storage instead of one CollectLeaves per slot.
-  /// Appends leaves to `buffer` and fills `slices` (index-aligned with
-  /// `slots`; offsets are absolute indices into `buffer`). Exploits the
-  /// laminar-family property of match loci — two slots' leaf ranges are
-  /// nested or disjoint, never partially overlapping — so nested requests
-  /// alias one decoded run (v3: merged restart-block decodes; v2: one
-  /// forward descendant scan per maximal run, skipping the gaps between
-  /// disjoint requests). Duplicate slots are fine and share a slice.
-  /// `ctx` (nullable) is checked periodically.
-  Status CollectLeafSlices(const std::vector<uint32_t>& slots,
-                           const QueryContext* ctx,
-                           std::vector<uint64_t>* buffer,
-                           std::vector<LeafSlice>* slices) const;
-
-  /// Counted form (inflates v3; cheap reference for v1/v2).
-  StatusOr<CountedTree> Inflate() const;
-
-  /// Direct access for counted-backed trees only (compressed() == false).
-  const CountedTree& counted() const { return counted_; }
-  const CompressedSubTree& packed() const { return packed_; }
-
- private:
-  CountedTree counted_;
-  CompressedSubTree packed_;
-  bool compressed_ = false;
 };
 
 }  // namespace era

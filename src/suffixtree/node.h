@@ -1,19 +1,22 @@
-// On-disk / in-memory suffix-tree node layouts.
+// Suffix-tree node layouts.
 //
 // Two 32-byte POD node formats share this header:
 //
-//  * TreeNode — the builder-side linked layout (serialized as format v1).
-//    Edges are stored on their child node as (edge_start, edge_len) offsets
-//    into the input string S — the O(n) representation of Section 2.
-//    Children are linked through first_child/next_sibling in lexicographic
-//    order of their first edge symbol, so a depth-first traversal emits
-//    suffixes in lexicographic order.
+//  * TreeNode — the builder-side linked layout (serialized verbatim only by
+//    legacy format v1). Edges are stored on their child node as
+//    (edge_start, edge_len) offsets into the input string S — the O(n)
+//    representation of Section 2. Children are linked through
+//    first_child/next_sibling in lexicographic order of their first edge
+//    symbol, so a depth-first traversal emits suffixes in lexicographic
+//    order.
 //
-//  * CountedNode — the serving-side counted layout (serialized as format
-//    v2). Children are stored contiguously, sorted by first edge symbol
-//    (child lookup is a binary search instead of a sibling-list walk), and
-//    every node carries its subtree leaf count, so Count is a pure
-//    root-to-node walk with zero leaf enumeration.
+//  * CountedNode — the counted layout (serialized verbatim only by legacy
+//    format v2). Children are stored contiguously, sorted by first edge
+//    symbol, and every node carries its subtree leaf count. It is the
+//    intermediate every sub-tree passes through on its way to the packed
+//    v3 form (suffixtree/compressed_tree.h), which bit-packs these same
+//    records and is the only form that is written by builders, cached and
+//    queried.
 //
 // The paper sizes sub-trees as 2 * f_p * sizeof(tree node); FM derives from
 // sizeof(TreeNode) (see era/memory_layout.h).
@@ -25,11 +28,10 @@
 
 namespace era {
 
-/// On-disk sub-tree format a builder emits (numeric values match the file
-/// header's version field). v1 (linked) is read-only legacy; builders choose
-/// between the counted array (v2) and the bit-packed compressed form (v3).
+/// The sub-tree file format builders write (the value matches the file
+/// header's version field). It has one value because every builder writes
+/// v3; it remains only as the type of BuildOptions::format (see there).
 enum class SubTreeFormat : uint32_t {
-  kCounted = 2,
   kPacked = 3,
 };
 
@@ -59,8 +61,8 @@ struct TreeNode {
 
 static_assert(sizeof(TreeNode) == 32, "TreeNode must stay 32 bytes");
 
-/// One node of the counted serving layout (format v2; 32 bytes, trivially
-/// copyable; serialized verbatim).
+/// One node of the counted layout (32 bytes, trivially copyable; the record
+/// of legacy format v2 and the input of the packed v3 encoder).
 ///
 /// The writer lays nodes out depth-first, reserving each node's child block
 /// the moment the node is first visited. Two structural guarantees follow,

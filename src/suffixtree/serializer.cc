@@ -70,7 +70,7 @@ Status WritePayload(Env* env, const std::string& path,
 /// non-empty node count). Exactly one of `v1_nodes`/`v2_nodes`/`v3_payload`
 /// is filled, selected by the version on disk; `*version_out` reports which.
 /// The v3 payload is the raw byte string (decoded and structure-checked by
-/// CompressedSubTree::FromPayload).
+/// ServedSubTree::FromPayload).
 Status ReadPayload(Env* env, const std::string& path,
                    std::vector<TreeNode>* v1_nodes,
                    std::vector<CountedNode>* v2_nodes, std::string* v3_payload,
@@ -149,28 +149,45 @@ Status ReadPayload(Env* env, const std::string& path,
   return Status::OK();
 }
 
-}  // namespace
-
-Status WriteCountedSubTree(Env* env, const std::string& path,
-                           const std::string& prefix, const CountedTree& tree,
-                           IoStats* stats, uint32_t* file_crc,
-                           SubTreeFormat format) {
-  if (format == SubTreeFormat::kPacked) {
-    const std::string payload = CompressedSubTree::EncodePayload(tree);
-    return WritePayload(env, path, prefix, kVersionPacked, payload.data(),
-                        tree.size(), payload.size(), stats, file_crc);
+/// Turns a payload ReadPayload produced into the served form: v3 decodes in
+/// place; v1 converts and v2 is layout-checked, and both are then packed, so
+/// FromPayload never sees a tree that failed its version's checks.
+Status DecodeServed(const std::string& path, uint32_t version,
+                    std::vector<TreeNode> v1_nodes, const CountedTree& counted,
+                    std::string v3_payload, uint64_t node_count,
+                    ServedSubTree* tree) {
+  if (version == kVersionLinked) {
+    TreeBuffer linked;
+    linked.mutable_nodes() = std::move(v1_nodes);
+    auto converted = BuildCountedTree(linked);
+    if (!converted.ok()) {
+      return Status::Corruption(converted.status().message() + " in " + path);
+    }
+    v3_payload = ServedSubTree::EncodePayload(*converted);
+    node_count = converted->size();
+  } else if (version == kVersionCounted) {
+    if (Status s = ValidateCountedLayout(counted); !s.ok()) {
+      return Status::Corruption(s.message() + " in " + path);
+    }
+    v3_payload = ServedSubTree::EncodePayload(counted);
   }
-  return WritePayload(env, path, prefix, kVersionCounted, tree.nodes().data(),
-                      tree.size(), tree.size() * sizeof(CountedNode), stats,
-                      file_crc);
+  auto packed = ServedSubTree::FromPayload(std::move(v3_payload), node_count);
+  if (!packed.ok()) {
+    return packed.status().WithContext("packed sub-tree " + path);
+  }
+  *tree = std::move(packed).value();
+  return Status::OK();
 }
+
+}  // namespace
 
 Status WriteSubTree(Env* env, const std::string& path,
                     const std::string& prefix, const TreeBuffer& tree,
-                    IoStats* stats, uint32_t* file_crc, SubTreeFormat format) {
+                    IoStats* stats, uint32_t* file_crc) {
   ERA_ASSIGN_OR_RETURN(CountedTree counted, BuildCountedTree(tree));
-  return WriteCountedSubTree(env, path, prefix, counted, stats, file_crc,
-                             format);
+  const std::string payload = ServedSubTree::EncodePayload(counted);
+  return WritePayload(env, path, prefix, kVersionPacked, payload.data(),
+                      counted.size(), payload.size(), stats, file_crc);
 }
 
 Status WriteSubTreeV1(Env* env, const std::string& path,
@@ -179,6 +196,14 @@ Status WriteSubTreeV1(Env* env, const std::string& path,
   return WritePayload(env, path, prefix, kVersionLinked, tree.nodes().data(),
                       tree.size(), tree.nodes().size() * sizeof(TreeNode),
                       stats, nullptr);
+}
+
+Status WriteSubTreeV2(Env* env, const std::string& path,
+                      const std::string& prefix, const CountedTree& tree,
+                      IoStats* stats) {
+  return WritePayload(env, path, prefix, kVersionCounted, tree.nodes().data(),
+                      tree.size(), tree.size() * sizeof(CountedNode), stats,
+                      nullptr);
 }
 
 Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
@@ -195,47 +220,11 @@ Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
     tree->mutable_nodes() = std::move(v1_nodes);
     return Status::OK();
   }
-  if (version == kVersionPacked) {
-    auto packed =
-        CompressedSubTree::FromPayload(std::move(v3_payload), node_count);
-    if (!packed.ok()) {
-      return packed.status().WithContext("packed sub-tree " + path);
-    }
-    ERA_ASSIGN_OR_RETURN(counted, packed->Inflate());
-  } else if (Status s = ValidateCountedLayout(counted); !s.ok()) {
-    return Status::Corruption(s.message() + " in " + path);
-  }
+  ServedSubTree served;
+  ERA_RETURN_NOT_OK(DecodeServed(path, version, {}, counted,
+                                 std::move(v3_payload), node_count, &served));
+  ERA_ASSIGN_OR_RETURN(counted, served.Inflate());
   ERA_ASSIGN_OR_RETURN(*tree, LinkedFromCounted(counted));
-  return Status::OK();
-}
-
-Status ReadCountedSubTree(Env* env, const std::string& path, CountedTree* tree,
-                          std::string* prefix_out, IoStats* stats) {
-  std::vector<TreeNode> v1_nodes;
-  std::string v3_payload;
-  uint64_t node_count = 0;
-  uint32_t version = 0;
-  ERA_RETURN_NOT_OK(ReadPayload(env, path, &v1_nodes, &tree->mutable_nodes(),
-                                &v3_payload, &node_count, &version, prefix_out,
-                                stats));
-  if (version == kVersionCounted) {
-    if (Status s = ValidateCountedLayout(*tree); !s.ok()) {
-      return Status::Corruption(s.message() + " in " + path);
-    }
-    return Status::OK();
-  }
-  if (version == kVersionPacked) {
-    auto packed =
-        CompressedSubTree::FromPayload(std::move(v3_payload), node_count);
-    if (!packed.ok()) {
-      return packed.status().WithContext("packed sub-tree " + path);
-    }
-    ERA_ASSIGN_OR_RETURN(*tree, packed->Inflate());
-    return Status::OK();
-  }
-  TreeBuffer linked;
-  linked.mutable_nodes() = std::move(v1_nodes);
-  ERA_ASSIGN_OR_RETURN(*tree, BuildCountedTree(linked));
   return Status::OK();
 }
 
@@ -250,24 +239,8 @@ Status ReadServedSubTree(Env* env, const std::string& path,
   ERA_RETURN_NOT_OK(ReadPayload(env, path, &v1_nodes,
                                 &counted.mutable_nodes(), &v3_payload,
                                 &node_count, &version, prefix_out, stats));
-  if (version == kVersionPacked) {
-    auto packed =
-        CompressedSubTree::FromPayload(std::move(v3_payload), node_count);
-    if (!packed.ok()) {
-      return packed.status().WithContext("packed sub-tree " + path);
-    }
-    *tree = ServedSubTree(std::move(packed).value());
-    return Status::OK();
-  }
-  if (version == kVersionLinked) {
-    TreeBuffer linked;
-    linked.mutable_nodes() = std::move(v1_nodes);
-    ERA_ASSIGN_OR_RETURN(counted, BuildCountedTree(linked));
-  } else if (Status s = ValidateCountedLayout(counted); !s.ok()) {
-    return Status::Corruption(s.message() + " in " + path);
-  }
-  *tree = ServedSubTree(std::move(counted));
-  return Status::OK();
+  return DecodeServed(path, version, std::move(v1_nodes), counted,
+                      std::move(v3_payload), node_count, tree);
 }
 
 StatusOr<SubTreeFileInfo> InspectSubTreeFile(Env* env,
@@ -301,9 +274,13 @@ StatusOr<SubTreeFileInfo> InspectSubTreeFile(Env* env,
   }
   info.payload_bytes = info.file_bytes - sizeof(header) - header.prefix_len;
   info.inflated_bytes = header.node_count * sizeof(CountedNode);
-  info.serving_bytes = header.version == kVersionPacked
-                           ? info.payload_bytes + kBitReaderPadBytes
-                           : info.inflated_bytes;
+  if (header.version == kVersionPacked) {
+    info.serving_bytes = info.payload_bytes + kBitReaderPadBytes;
+  } else {
+    ServedSubTree served;
+    ERA_RETURN_NOT_OK(ReadServedSubTree(env, path, &served, nullptr, nullptr));
+    info.serving_bytes = served.PayloadBytes() + kBitReaderPadBytes;
+  }
   return info;
 }
 

@@ -62,10 +62,10 @@ class TreeBuffer {
   std::vector<TreeNode> nodes_;
 };
 
-/// Flat array of CountedNodes in the format-v2 layout (see node.h). Node 0
-/// is the root. Immutable once built; this is the representation every
-/// query-path consumer receives from TreeIndex::OpenSubTree, whether the
-/// file on disk was v1 (converted at load) or v2 (read verbatim).
+/// Flat array of CountedNodes in the counted layout (see node.h). Node 0 is
+/// the root. The input of the packed encoder (ServedSubTree::EncodePayload)
+/// and the output of ServedSubTree::Inflate; legacy v2 files hold it
+/// verbatim.
 class CountedTree {
  public:
   const CountedNode& node(uint32_t i) const { return nodes_[i]; }
@@ -93,8 +93,8 @@ class CountedTree {
 StatusOr<CountedTree> BuildCountedTree(const TreeBuffer& tree);
 
 /// Rebuilds a linked TreeBuffer from a counted tree (slot i maps to node i;
-/// child blocks become first_child/next_sibling chains). Used to hand v2
-/// files to consumers that still operate on the linked form, e.g. the
+/// child blocks become first_child/next_sibling chains). Used to hand
+/// v2/v3 files to consumers that still operate on the linked form, e.g. the
 /// TRELLIS merge phase.
 StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree);
 
@@ -104,8 +104,9 @@ StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree);
 /// correctly, every node is reachable exactly once, and the canonical DFS
 /// block layout holds — each internal node's strict descendants occupy
 /// exactly [children_begin, children_begin + subtree_node_count - 1), which
-/// is the invariant the linear descendant scan in CollectLeaves relies on.
-/// Run by the serializer on every v2 load and by the validator.
+/// is the invariant that makes a node's leaves one contiguous leaf-rank range
+/// in the packed form. Run by the serializer on every v2 load (before the
+/// tree is packed) and by the validator.
 Status ValidateCountedLayout(const CountedTree& tree);
 
 }  // namespace era

@@ -5,10 +5,10 @@
 // query engine are shared.
 //
 // The reading side serves sub-trees through a sharded, byte-budgeted LRU
-// cache of ServedSubTree values: v3 files stay in their compressed form (the
-// cache charges the packed size, which is what fits 2-4x more sub-trees in
-// the same budget), v1/v2 files load as counted trees. Lookups lock only
-// their shard, loads run outside any lock, and entries are handed out as
+// cache of ServedSubTree values, all in the packed form (v1/v2 files are
+// re-encoded at load): the cache charges the packed size, which fits 2-4x
+// more sub-trees in a budget than 32-byte records. Lookups lock only their
+// shard, loads run outside any lock, and entries are handed out as
 // shared_ptr so an eviction never invalidates a tree an in-flight query is
 // still walking. Pattern-to-sub-tree routing goes through a flat k-mer
 // dispatch table built over the trie at Load time (Route()).
@@ -76,8 +76,8 @@ class TreeIndex {
   // ---- reading side ----
   static StatusOr<TreeIndex> Load(Env* env, const std::string& dir);
 
-  /// Reads (and caches) sub-tree `id` in its serving form (compressed for
-  /// v3 files, counted for v1/v2). Thread-safe; cache hits/misses and
+  /// Reads (and caches) sub-tree `id` in its packed served form, whatever
+  /// its file version. Thread-safe; cache hits/misses and
   /// eviction volume are billed to `stats` when given. Concurrent misses on
   /// the same id may load the file more than once; exactly one copy is
   /// retained. `ctx` (may be null) is the caller's deadline/cancellation

@@ -163,8 +163,8 @@ Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
                        const std::string& prefix) {
   ERA_ASSIGN_OR_RETURN(CountedTree counted, tree.Inflate());
   ERA_RETURN_NOT_OK(ValidateSubTree(counted, text, prefix));
-  // The cursor walk over the serving form (bit-packed field decode + lazy
-  // leaf-slot ranges for v3) must agree with the inflated counted layout.
+  // The cursor walk over the packed form (bit-packed field decode + lazy
+  // leaf-slot ranges) must agree with the inflated counted layout.
   if (TreeToSaLcp(tree) != TreeToSaLcp(counted)) {
     return Status::Corruption(
         "compressed cursor walk disagrees with inflated tree");

@@ -17,7 +17,7 @@
 // from a bad device from an overloaded server.
 //   era_cli query  <index-dir> <pattern> [--limit N] [--deadline-ms N]
 //   era_cli stats  <index-dir>
-//   era_cli inspect <index-dir>           (per-sub-tree format/size/ratio)
+//   era_cli inspect <index-dir>           (per-sub-tree version/size/ratio)
 //   era_cli verify <index-dir>            (loads text + validates everything)
 //   era_cli generate <out-file> <dna|protein|english> <bytes> [seed]
 //   era_cli bench-query <index-dir> [--threads N] [--patterns N]
@@ -66,10 +66,8 @@ int Usage() {
       "  era_cli build  <text-file> <index-dir> [--budget-mb N]\n"
       "                 [--alphabet dna|protein|english] [--threads N]\n"
       "                 [--algorithm era|wavefront] [--cache-budget MB]\n"
-      "                 [--format v2|v3] [--no-tile-cache] [--resume]\n"
-      "                 [--no-checkpoint] [--faults SPEC]\n"
-      "       (--format picks the sub-tree file format: v3 bit-packed\n"
-      "        (default) or v2 fixed 32-byte records)\n"
+      "                 [--no-tile-cache] [--resume] [--no-checkpoint]\n"
+      "                 [--faults SPEC]\n"
       "       (--resume skips groups an earlier killed build completed;\n"
       "        --faults injects deterministic failures, e.g.\n"
       "        read_transient=0.01,enospc_after=64MB,seed=7)\n"
@@ -287,16 +285,6 @@ int CmdBuild(const std::vector<std::string>& args) {
   options.env = env;
   options.resume = HasFlag(args, "--resume");
   options.checkpoint = !HasFlag(args, "--no-checkpoint");
-  const std::string format = FlagValue(args, "--format", "v3");
-  if (format == "v2") {
-    options.format = SubTreeFormat::kCounted;
-  } else if (format == "v3") {
-    options.format = SubTreeFormat::kPacked;
-  } else {
-    std::fprintf(stderr, "unknown --format: %s (expected v2 or v3)\n",
-                 format.c_str());
-    return Usage();
-  }
 
   BuildStats stats;
   Status build_status;
@@ -420,8 +408,8 @@ int CmdInspect(const std::vector<std::string>& args) {
   auto index = TreeIndex::Load(env, args[0]);
   if (!index.ok()) return Fail(index.status());
 
-  std::printf("%-6s %-4s %-9s %10s %12s %12s %12s %6s\n", "id", "fmt",
-              "prefix", "nodes", "disk_bytes", "serve_bytes", "v2_bytes",
+  std::printf("%-6s %-4s %-9s %10s %12s %12s %13s %6s\n", "id", "ver",
+              "prefix", "nodes", "disk_bytes", "serve_bytes", "counted_bytes",
               "ratio");
   uint64_t total_disk = 0;
   uint64_t total_serving = 0;
@@ -435,7 +423,7 @@ int CmdInspect(const std::vector<std::string>& args) {
         info->serving_bytes == 0
             ? 0.0
             : static_cast<double>(info->inflated_bytes) / info->serving_bytes;
-    std::printf("%-6u v%-3u %-9s %10llu %12llu %12llu %12llu %5.2fx\n", id,
+    std::printf("%-6u v%-3u %-9s %10llu %12llu %12llu %13llu %5.2fx\n", id,
                 info->version, entry.prefix.c_str(),
                 static_cast<unsigned long long>(info->node_count),
                 static_cast<unsigned long long>(info->file_bytes),

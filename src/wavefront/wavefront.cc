@@ -200,8 +200,7 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
   std::string filename = "st_" + std::to_string(unit_id) + "_0.bin";
   ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(),
                                  options.work_dir + "/" + filename, prefix,
-                                 tree, &out->write_io, nullptr,
-                                 options.format));
+                                 tree, &out->write_io));
   out->subtrees.push_back({prefix, occ.size(), filename});
   return Status::OK();
 }

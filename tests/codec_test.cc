@@ -170,13 +170,13 @@ CountedTree EncodableTree(uint64_t text_bytes, uint64_t seed) {
 TEST(CompressedPayloadTest, RoundTripsExactly) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     CountedTree tree = EncodableTree(1500, seed);
-    std::string payload = CompressedSubTree::EncodePayload(tree);
-    auto packed = CompressedSubTree::FromPayload(payload, tree.size());
+    std::string payload = ServedSubTree::EncodePayload(tree);
+    auto packed = ServedSubTree::FromPayload(payload, tree.size());
     ASSERT_TRUE(packed.ok()) << packed.status().ToString();
     EXPECT_EQ(packed->size(), tree.size());
     EXPECT_EQ(packed->LeafCount(), tree.LeafCount());
     // Deterministic encoding: same tree, same bytes.
-    EXPECT_EQ(CompressedSubTree::EncodePayload(tree), payload);
+    EXPECT_EQ(ServedSubTree::EncodePayload(tree), payload);
 
     auto inflated = packed->Inflate();
     ASSERT_TRUE(inflated.ok());
@@ -195,46 +195,44 @@ TEST(CompressedPayloadTest, RoundTripsExactly) {
 
 TEST(CompressedPayloadTest, EveryTruncationIsCorruption) {
   CountedTree tree = EncodableTree(600, 5);
-  std::string payload = CompressedSubTree::EncodePayload(tree);
+  std::string payload = ServedSubTree::EncodePayload(tree);
   ASSERT_GT(payload.size(), 80u);
   // Check every length near the structural boundaries plus a sample of the
   // rest (full O(n^2) is slow for no extra coverage).
   for (std::size_t len = 0; len < payload.size(); ++len) {
     if (len > 100 && len + 100 < payload.size() && len % 37 != 0) continue;
     auto packed =
-        CompressedSubTree::FromPayload(payload.substr(0, len), tree.size());
+        ServedSubTree::FromPayload(payload.substr(0, len), tree.size());
     EXPECT_FALSE(packed.ok()) << "len=" << len;
     if (!packed.ok()) {
       EXPECT_TRUE(packed.status().IsCorruption()) << "len=" << len;
     }
   }
   // Trailing garbage is just as dead.
-  auto padded = CompressedSubTree::FromPayload(payload + "x", tree.size());
+  auto padded = ServedSubTree::FromPayload(payload + "x", tree.size());
   EXPECT_FALSE(padded.ok());
   // A wrong node count cannot pass the size checks.
-  EXPECT_FALSE(CompressedSubTree::FromPayload(payload, tree.size() - 1).ok());
-  EXPECT_FALSE(CompressedSubTree::FromPayload(payload, tree.size() + 1).ok());
+  EXPECT_FALSE(ServedSubTree::FromPayload(payload, tree.size() - 1).ok());
+  EXPECT_FALSE(ServedSubTree::FromPayload(payload, tree.size() + 1).ok());
 }
 
 TEST(CompressedPayloadTest, HeaderTamperingIsCorruption) {
   CountedTree tree = EncodableTree(600, 11);
-  std::string payload = CompressedSubTree::EncodePayload(tree);
+  std::string payload = ServedSubTree::EncodePayload(tree);
   // Flipping any declared width breaks the w == BitWidth(max) rule or the
   // total-size equation; both must be caught.
   for (std::size_t off = 60; off < 66; ++off) {  // the six width bytes
     std::string bad = payload;
     bad[off] = static_cast<char>(bad[off] + 1);
-    EXPECT_FALSE(
-        CompressedSubTree::FromPayload(bad, tree.size()).ok())
+    EXPECT_FALSE(ServedSubTree::FromPayload(bad, tree.size()).ok())
         << "width byte " << off;
   }
 }
 
 TEST(CompressedPayloadTest, LazyLeafRangesMatchFullDecode) {
   CountedTree tree = EncodableTree(2000, 13);
-  std::string payload = CompressedSubTree::EncodePayload(tree);
-  auto packed = CompressedSubTree::FromPayload(std::move(payload),
-                                               tree.size());
+  std::string payload = ServedSubTree::EncodePayload(tree);
+  auto packed = ServedSubTree::FromPayload(std::move(payload), tree.size());
   ASSERT_TRUE(packed.ok());
 
   std::vector<uint64_t> all;

@@ -490,7 +490,7 @@ TEST(DocEngineTest, OpenFailsOnCorruptDocmap) {
 TEST(DocEngineTest, V1MirrorAnswersIdentically) {
   MemEnv env;
   CollectionBuilder builder(Alphabet::Dna(),
-                            SmallCollectionOptions(&env, "/v2col"));
+                            SmallCollectionOptions(&env, "/v3col"));
   std::mt19937_64 rng(33);
   std::vector<std::string> docs;
   for (int d = 0; d < 20; ++d) {
@@ -508,13 +508,13 @@ TEST(DocEngineTest, V1MirrorAnswersIdentically) {
   for (const char* file : {"MANIFEST", "DOCMAP"}) {
     std::string raw;
     ASSERT_TRUE(
-        env.ReadFileToString(std::string("/v2col/") + file, &raw).ok());
+        env.ReadFileToString(std::string("/v3col/") + file, &raw).ok());
     ASSERT_TRUE(env.WriteFile(std::string("/v1col/") + file, raw).ok());
   }
   for (const SubTreeEntry& entry : built->index.subtrees()) {
     TreeBuffer tree;
     std::string prefix;
-    ASSERT_TRUE(ReadSubTree(&env, "/v2col/" + entry.filename, &tree, &prefix,
+    ASSERT_TRUE(ReadSubTree(&env, "/v3col/" + entry.filename, &tree, &prefix,
                             nullptr)
                     .ok());
     ASSERT_TRUE(WriteSubTreeV1(&env, "/v1col/" + entry.filename, prefix, tree,
@@ -522,9 +522,9 @@ TEST(DocEngineTest, V1MirrorAnswersIdentically) {
                     .ok());
   }
 
-  auto v2 = DocEngine::Open(&env, "/v2col");
+  auto v3 = DocEngine::Open(&env, "/v3col");
   auto v1 = DocEngine::Open(&env, "/v1col");
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
 
   std::vector<std::string> patterns;
@@ -534,21 +534,21 @@ TEST(DocEngineTest, V1MirrorAnswersIdentically) {
   }
   patterns.push_back("ACGTACGTACGTACGT");  // likely absent
   for (const std::string& pattern : patterns) {
-    auto h2 = (*v2)->DocumentHistogram(pattern);
+    auto h3 = (*v3)->DocumentHistogram(pattern);
     auto h1 = (*v1)->DocumentHistogram(pattern);
-    ASSERT_TRUE(h2.ok());
+    ASSERT_TRUE(h3.ok());
     ASSERT_TRUE(h1.ok());
-    EXPECT_EQ(*h2, *h1) << "pattern: " << pattern;
-    auto top2 = (*v2)->TopKDocuments(pattern, 4);
+    EXPECT_EQ(*h3, *h1) << "pattern: " << pattern;
+    auto top3 = (*v3)->TopKDocuments(pattern, 4);
     auto top1 = (*v1)->TopKDocuments(pattern, 4);
-    ASSERT_TRUE(top2.ok());
+    ASSERT_TRUE(top3.ok());
     ASSERT_TRUE(top1.ok());
-    EXPECT_EQ(*top2, *top1);
-    auto loc2 = (*v2)->LocateInDoc(pattern, 7);
+    EXPECT_EQ(*top3, *top1);
+    auto loc3 = (*v3)->LocateInDoc(pattern, 7);
     auto loc1 = (*v1)->LocateInDoc(pattern, 7);
-    ASSERT_TRUE(loc2.ok());
+    ASSERT_TRUE(loc3.ok());
     ASSERT_TRUE(loc1.ok());
-    EXPECT_EQ(*loc2, *loc1);
+    EXPECT_EQ(*loc3, *loc1);
   }
 }
 

@@ -1,5 +1,6 @@
 // On-disk damage on the read path: checksums turn bit flips and truncation
-// into Corruption (never silent wrong answers), and the QueryEngine degrades
+// into Corruption (never silent wrong answers), structural checks do the same
+// for CRC-valid malformed legacy (v1/v2) files, and the QueryEngine degrades
 // per-query — a damaged sub-tree quarantines itself while the rest of the
 // index keeps serving, and a repaired file serves again without a restart.
 
@@ -7,6 +8,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "era/era_builder.h"
@@ -78,8 +80,8 @@ TEST(CorruptionTest, SubTreeBitFlipsAreCorruption) {
     std::string damaged = clean;
     damaged[offset] ^= 0x10;
     ASSERT_TRUE(env.WriteFile(path, damaged).ok());
-    CountedTree tree;
-    Status s = ReadCountedSubTree(&env, path, &tree, nullptr, nullptr);
+    ServedSubTree tree;
+    Status s = ReadServedSubTree(&env, path, &tree, nullptr, nullptr);
     EXPECT_FALSE(s.ok()) << "bit flip at offset " << offset << " undetected";
     EXPECT_TRUE(s.IsCorruption())
         << "offset " << offset << ": " << s.ToString();
@@ -96,10 +98,107 @@ TEST(CorruptionTest, TruncatedSubTreeIsCorruption) {
   for (std::size_t keep : {std::size_t{0}, std::size_t{4}, clean.size() / 2,
                            clean.size() - 1}) {
     ASSERT_TRUE(env.WriteFile(path, clean.substr(0, keep)).ok());
-    CountedTree tree;
-    Status s = ReadCountedSubTree(&env, path, &tree, nullptr, nullptr);
+    ServedSubTree tree;
+    Status s = ReadServedSubTree(&env, path, &tree, nullptr, nullptr);
     EXPECT_FALSE(s.ok()) << "truncation to " << keep << " bytes undetected";
     EXPECT_TRUE(s.IsCorruption()) << "keep=" << keep << ": " << s.ToString();
+  }
+}
+
+/// Counted node helpers for hand-assembled legacy (v2) node arrays.
+void SetInternal(CountedTree* tree, uint32_t i, uint32_t children_begin,
+                 uint32_t num_children, uint64_t leaves) {
+  CountedNode& n = tree->mutable_nodes()[i];
+  n.children_begin = children_begin;
+  n.num_children = num_children;
+  n.leaf_or_count = leaves;
+  n.edge_len = i == 0 ? 0 : 1;
+}
+
+void SetLeaf(CountedTree* tree, uint32_t i, uint64_t suffix) {
+  CountedNode& n = tree->mutable_nodes()[i];
+  n.leaf_or_count = suffix;
+  n.edge_len = 1;
+}
+
+TEST(CorruptionTest, CrcValidLegacyMutantsAreCorruption) {
+  // The CRC is computed over the mutated payload, so only the structural
+  // checks of the legacy load path (ValidateCountedLayout for v2,
+  // BuildCountedTree for v1) stand between these files and the packed
+  // encoder. The out-of-bounds child block would make the encoder read past
+  // its arrays, which the ASan build reports.
+  MemEnv env;
+  std::vector<std::pair<std::string, CountedTree>> v2_mutants;
+  {
+    // Interleaved descendant blocks: per-node bounds and counts hold, but
+    // node 2's leaf sits inside node 1's descendant range.
+    CountedTree t;
+    t.mutable_nodes().resize(7);
+    SetInternal(&t, 0, 1, 2, 3);
+    SetInternal(&t, 1, 3, 1, 2);
+    SetInternal(&t, 2, 4, 1, 1);
+    SetInternal(&t, 3, 5, 2, 2);
+    SetLeaf(&t, 4, 40);
+    SetLeaf(&t, 5, 50);
+    SetLeaf(&t, 6, 60);
+    v2_mutants.emplace_back("interleaved", std::move(t));
+  }
+  {
+    // A child block far past the node array.
+    CountedTree t;
+    t.mutable_nodes().resize(3);
+    SetInternal(&t, 0, 1000, 2, 2);
+    SetLeaf(&t, 1, 0);
+    SetLeaf(&t, 2, 1);
+    v2_mutants.emplace_back("out_of_bounds", std::move(t));
+  }
+  {
+    // Stored leaf count disagrees with the children's.
+    CountedTree t;
+    t.mutable_nodes().resize(3);
+    SetInternal(&t, 0, 1, 2, 5);
+    SetLeaf(&t, 1, 0);
+    SetLeaf(&t, 2, 1);
+    v2_mutants.emplace_back("bad_count", std::move(t));
+  }
+  for (const auto& [name, tree] : v2_mutants) {
+    const std::string path = "/v2_" + name;
+    ASSERT_TRUE(WriteSubTreeV2(&env, path, "", tree, nullptr).ok());
+    ServedSubTree served;
+    Status s = ReadServedSubTree(&env, path, &served, nullptr, nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << name << ": " << s.ToString();
+  }
+
+  std::vector<std::pair<std::string, TreeBuffer>> v1_mutants;
+  {
+    TreeBuffer cyclic;  // a child links back to the root
+    const uint32_t a = cyclic.AddNode();
+    cyclic.node(0).first_child = a;
+    cyclic.node(a).leaf_id = kNoLeaf;
+    cyclic.node(a).first_child = 0;
+    v1_mutants.emplace_back("cyclic", std::move(cyclic));
+  }
+  v1_mutants.emplace_back("childless_root", TreeBuffer());
+  {
+    TreeBuffer orphan;  // a node never linked under the root
+    const uint32_t leaf = orphan.AddNode();
+    orphan.node(leaf).leaf_id = 0;
+    orphan.node(leaf).edge_len = 1;
+    orphan.node(0).first_child = leaf;
+    orphan.AddNode();
+    v1_mutants.emplace_back("orphan", std::move(orphan));
+  }
+  {
+    TreeBuffer dangling;  // a child id past the node array
+    dangling.node(0).first_child = 77;
+    v1_mutants.emplace_back("dangling", std::move(dangling));
+  }
+  for (const auto& [name, tree] : v1_mutants) {
+    const std::string path = "/v1_" + name;
+    ASSERT_TRUE(WriteSubTreeV1(&env, path, "", tree, nullptr).ok());
+    ServedSubTree served;
+    Status s = ReadServedSubTree(&env, path, &served, nullptr, nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << name << ": " << s.ToString();
   }
 }
 

@@ -25,14 +25,12 @@
 namespace era {
 namespace {
 
-BuildOptions SmallBuildOptions(Env* env, const std::string& dir,
-                               SubTreeFormat format) {
+BuildOptions SmallBuildOptions(Env* env, const std::string& dir) {
   BuildOptions options;
   options.env = env;
   options.work_dir = dir;
   options.memory_budget = 256 << 10;  // force several sub-trees
   options.input_buffer_bytes = 4096;
-  options.format = format;
   return options;
 }
 
@@ -79,11 +77,11 @@ void ExpectSameOutcomes(const std::vector<DictOutcome>& got,
 }
 
 // ---------------------------------------------------------------------------
-// Randomized equivalence: every alphabet, both sub-tree formats, dictionary
-// sizes from one pattern to thousands, count and locate modes.
+// Randomized equivalence: every alphabet, dictionary sizes from one pattern
+// to thousands, count and locate modes.
 // ---------------------------------------------------------------------------
 
-TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabetsAndFormats) {
+TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabets) {
   const Alphabet alphabets[] = {Alphabet::Dna(), Alphabet::Protein(),
                                 Alphabet::English()};
   for (const Alphabet& alphabet : alphabets) {
@@ -91,44 +89,39 @@ TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabetsAndFormats) {
     const std::string text = testing::RepetitiveText(alphabet, 6000, 29);
     auto info = MaterializeText(&env, "/text", alphabet, text);
     ASSERT_TRUE(info.ok());
-    for (SubTreeFormat format :
-         {SubTreeFormat::kPacked, SubTreeFormat::kCounted}) {
-      const std::string dir =
-          format == SubTreeFormat::kPacked ? "/idx_v3" : "/idx_v2";
-      EraBuilder builder(SmallBuildOptions(&env, dir, format));
-      auto result = builder.Build(*info);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      auto engine = QueryEngine::Open(&env, dir);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+    auto result = builder.Build(*info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto engine = QueryEngine::Open(&env, "/idx");
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-      for (std::size_t num_patterns : {1u, 7u, 300u, 2000u}) {
-        DictWorkloadOptions workload;
-        workload.num_patterns = num_patterns;
-        workload.num_prefix_groups = 8;
-        workload.prefix_len = 6;
-        workload.min_len = 3;
-        workload.max_len = 20;
-        workload.seed = 100 + num_patterns;
-        const std::vector<std::string> patterns =
-            SampleDictionaryWorkload(text, workload);
-        ASSERT_EQ(patterns.size(), num_patterns);
+    for (std::size_t num_patterns : {1u, 7u, 300u, 2000u}) {
+      DictWorkloadOptions workload;
+      workload.num_patterns = num_patterns;
+      workload.num_prefix_groups = 8;
+      workload.prefix_len = 6;
+      workload.min_len = 3;
+      workload.max_len = 20;
+      workload.seed = 100 + num_patterns;
+      const std::vector<std::string> patterns =
+          SampleDictionaryWorkload(text, workload);
+      ASSERT_EQ(patterns.size(), num_patterns);
 
-        DictMatchOptions count_mode;
-        auto counted = (*engine)->MatchDictionary(patterns, count_mode);
-        ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-        ExpectSameOutcomes(*counted,
-                           PerPatternLoop(engine->get(), patterns, count_mode),
-                           patterns);
+      DictMatchOptions count_mode;
+      auto counted = (*engine)->MatchDictionary(patterns, count_mode);
+      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+      ExpectSameOutcomes(*counted,
+                         PerPatternLoop(engine->get(), patterns, count_mode),
+                         patterns);
 
-        DictMatchOptions locate_mode;
-        locate_mode.locate = true;
-        locate_mode.locate_limit = 13;
-        auto located = (*engine)->MatchDictionary(patterns, locate_mode);
-        ASSERT_TRUE(located.ok()) << located.status().ToString();
-        ExpectSameOutcomes(
-            *located, PerPatternLoop(engine->get(), patterns, locate_mode),
-            patterns);
-      }
+      DictMatchOptions locate_mode;
+      locate_mode.locate = true;
+      locate_mode.locate_limit = 13;
+      auto located = (*engine)->MatchDictionary(patterns, locate_mode);
+      ASSERT_TRUE(located.ok()) << located.status().ToString();
+      ExpectSameOutcomes(
+          *located, PerPatternLoop(engine->get(), patterns, locate_mode),
+          patterns);
     }
   }
 }
@@ -138,7 +131,7 @@ TEST(DictMatcherEquivalence, AhoCorasickStreamingBaselineAgreesOnCounts) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 53);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
   auto engine = QueryEngine::Open(&env, "/idx");
   ASSERT_TRUE(engine.ok());
@@ -188,8 +181,7 @@ class DictMatcherTest : public ::testing::Test {
     text_ = testing::RepetitiveText(Alphabet::Dna(), 8000, 71);
     auto info = MaterializeText(&env_, "/text", Alphabet::Dna(), text_);
     ASSERT_TRUE(info.ok());
-    EraBuilder builder(
-        SmallBuildOptions(&env_, "/idx", SubTreeFormat::kPacked));
+    EraBuilder builder(SmallBuildOptions(&env_, "/idx"));
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto engine = QueryEngine::Open(&env_, "/idx");
@@ -356,7 +348,7 @@ TEST(DictMatcherServingTest, MidDictionaryCancellationLeavesEngineReusable) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 12000, 47);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
 
   // ~1ms of device time per request and an all-straggler dictionary (no
@@ -430,7 +422,7 @@ TEST(DictMatcherConcurrencyTest, ParallelDictionariesReturnIdenticalOutcomes) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 13);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
   QueryEngineOptions engine_options;
   engine_options.cache.budget_bytes = 128 << 10;  // keep evictions happening

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include "io/env.h"
 #include "io/mem_env.h"
@@ -23,6 +25,13 @@ class EnvKinds : public ::testing::TestWithParam<bool> {
               std::to_string(
                   std::chrono::steady_clock::now().time_since_epoch().count());
       ASSERT_TRUE(env_->CreateDir(base_).ok());
+    }
+  }
+
+  void TearDown() override {
+    if (!GetParam()) {
+      std::error_code ec;
+      std::filesystem::remove_all(base_, ec);
     }
   }
 
@@ -181,10 +190,13 @@ TEST(MemEnvTest, FileCount) {
 
 TEST(PosixEnvTest, CreateDirNested) {
   Env* env = GetDefaultEnv();
-  std::string dir = ::testing::TempDir() + "era_nested/a/b/c";
+  const std::string root = ::testing::TempDir() + "era_nested";
+  const std::string dir = root + "/a/b/c";
   ASSERT_TRUE(env->CreateDir(dir).ok());
   ASSERT_TRUE(env->WriteFile(dir + "/f", "x").ok());
   EXPECT_TRUE(env->FileExists(dir + "/f"));
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
 }
 
 }  // namespace

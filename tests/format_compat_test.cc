@@ -1,7 +1,6 @@
-// Format compatibility across v1/v2/v3: every builder emits the configured
-// format (bit-packed v3 by default, counted v2 on request), both serve
-// queries byte-identically, and legacy v1 mirrors still read and answer the
-// same.
+// Format compatibility across v1/v2/v3: every builder writes bit-packed v3
+// files, and legacy v1/v2 mirrors of the same index load into the identical
+// packed served form and answer Count/Locate byte-identically.
 
 #include <gtest/gtest.h>
 
@@ -43,30 +42,37 @@ uint32_t FileVersion(MemEnv* env, const std::string& path) {
   return version;
 }
 
-/// Mirrors `index` into `dst_dir` with every sub-tree rewritten as v1.
-void MirrorIndexAsV1(MemEnv* env, const TreeIndex& index,
-                     const std::string& dst_dir) {
+/// Mirrors `index` into `dst_dir` with every sub-tree rewritten in legacy
+/// `version` (1 or 2) through the compat fixture writers.
+void MirrorIndexAsLegacy(MemEnv* env, const TreeIndex& index,
+                         const std::string& dst_dir, uint32_t version) {
   ASSERT_TRUE(env->CreateDir(dst_dir).ok());
   std::string manifest;
   ASSERT_TRUE(
       env->ReadFileToString(index.dir() + "/MANIFEST", &manifest).ok());
   ASSERT_TRUE(env->WriteFile(dst_dir + "/MANIFEST", manifest).ok());
   for (const SubTreeEntry& entry : index.subtrees()) {
-    TreeBuffer tree;
+    const std::string src = index.dir() + "/" + entry.filename;
+    const std::string dst = dst_dir + "/" + entry.filename;
     std::string prefix;
-    ASSERT_TRUE(ReadSubTree(env, index.dir() + "/" + entry.filename, &tree,
-                            &prefix, nullptr)
-                    .ok());
-    ASSERT_TRUE(WriteSubTreeV1(env, dst_dir + "/" + entry.filename, prefix,
-                               tree, nullptr)
-                    .ok());
-    EXPECT_EQ(FileVersion(env, dst_dir + "/" + entry.filename), 1u);
+    if (version == 1) {
+      TreeBuffer tree;
+      ASSERT_TRUE(ReadSubTree(env, src, &tree, &prefix, nullptr).ok());
+      ASSERT_TRUE(WriteSubTreeV1(env, dst, prefix, tree, nullptr).ok());
+    } else {
+      ServedSubTree served;
+      ASSERT_TRUE(ReadServedSubTree(env, src, &served, &prefix, nullptr).ok());
+      auto counted = served.Inflate();
+      ASSERT_TRUE(counted.ok());
+      ASSERT_TRUE(WriteSubTreeV2(env, dst, prefix, *counted, nullptr).ok());
+    }
+    EXPECT_EQ(FileVersion(env, dst), version);
   }
 }
 
 /// Queries both engines with the same pattern set and requires identical
 /// answers (the "byte-identical query results" criterion).
-void ExpectIdenticalAnswers(QueryEngine* v2, QueryEngine* v1,
+void ExpectIdenticalAnswers(QueryEngine* v3, QueryEngine* legacy,
                             const std::string& text) {
   std::vector<std::string> patterns = {"A", "AC", "TTT"};
   for (std::size_t offset : {0u, 17u, 901u, 2503u}) {
@@ -79,17 +85,17 @@ void ExpectIdenticalAnswers(QueryEngine* v2, QueryEngine* v1,
   patterns.push_back(text.substr(text.size() - 12));  // suffix incl. terminal
   patterns.push_back("ACGTACGTACGTACGTACGTACGT");     // likely absent
   for (const std::string& pattern : patterns) {
-    auto count2 = v2->Count(pattern);
-    auto count1 = v1->Count(pattern);
-    ASSERT_TRUE(count2.ok()) << count2.status().ToString();
-    ASSERT_TRUE(count1.ok()) << count1.status().ToString();
-    EXPECT_EQ(*count2, *count1) << "pattern: " << pattern;
-    auto hits2 = v2->Locate(pattern);
-    auto hits1 = v1->Locate(pattern);
-    ASSERT_TRUE(hits2.ok());
-    ASSERT_TRUE(hits1.ok());
-    EXPECT_EQ(*hits2, *hits1) << "pattern: " << pattern;
-    EXPECT_EQ(hits2->size(), *count2) << "pattern: " << pattern;
+    auto count3 = v3->Count(pattern);
+    auto count_legacy = legacy->Count(pattern);
+    ASSERT_TRUE(count3.ok()) << count3.status().ToString();
+    ASSERT_TRUE(count_legacy.ok()) << count_legacy.status().ToString();
+    EXPECT_EQ(*count3, *count_legacy) << "pattern: " << pattern;
+    auto hits3 = v3->Locate(pattern);
+    auto hits_legacy = legacy->Locate(pattern);
+    ASSERT_TRUE(hits3.ok());
+    ASSERT_TRUE(hits_legacy.ok());
+    EXPECT_EQ(*hits3, *hits_legacy) << "pattern: " << pattern;
+    EXPECT_EQ(hits3->size(), *count3) << "pattern: " << pattern;
   }
 }
 
@@ -114,65 +120,54 @@ StatusOr<BuildResult> BuildWith(int which, const BuildOptions& options,
   }
 }
 
-TEST_P(BuilderFormatTest, EmitsConfiguredFormatAndAllVersionsAnswerAlike) {
+TEST_P(BuilderFormatTest, EmitsV3AndLegacyMirrorsAnswerAlike) {
   MemEnv env;
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 4000, 99);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
 
-  // Default build: bit-packed v3 files.
-  auto result_v3 = BuildWith(GetParam().second,
-                             SmallBuildOptions(&env, "/idx_v3"), *info);
-  ASSERT_TRUE(result_v3.ok()) << result_v3.status().ToString();
-  const TreeIndex& index_v3 = result_v3->index;
-  ASSERT_GT(index_v3.subtrees().size(), 1u);
+  auto result = BuildWith(GetParam().second,
+                          SmallBuildOptions(&env, "/idx_v3"), *info);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const TreeIndex& index = result->index;
+  ASSERT_GT(index.subtrees().size(), 1u);
+  MirrorIndexAsLegacy(&env, index, "/idx_v2", 2);
+  MirrorIndexAsLegacy(&env, index, "/idx_v1", 1);
 
-  // Same build with --format v2 semantics: counted files.
-  BuildOptions v2_options = SmallBuildOptions(&env, "/idx_v2");
-  v2_options.format = SubTreeFormat::kCounted;
-  auto result_v2 = BuildWith(GetParam().second, v2_options, *info);
-  ASSERT_TRUE(result_v2.ok()) << result_v2.status().ToString();
-  const TreeIndex& index_v2 = result_v2->index;
-  ASSERT_EQ(index_v2.subtrees().size(), index_v3.subtrees().size());
-
-  // Every emitted file carries the configured version, validates, and the
-  // v3 serving form stays compressed with the identical canonical shape as
-  // its v2 twin.
-  for (std::size_t i = 0; i < index_v3.subtrees().size(); ++i) {
-    const SubTreeEntry& entry = index_v3.subtrees()[i];
-    const SubTreeEntry& entry_v2 = index_v2.subtrees()[i];
-    EXPECT_EQ(entry.prefix, entry_v2.prefix);
-    EXPECT_EQ(FileVersion(&env, index_v3.dir() + "/" + entry.filename), 3u);
-    EXPECT_EQ(
-        FileVersion(&env, index_v2.dir() + "/" + entry_v2.filename), 2u);
-
-    CountedTree counted;
-    std::string prefix;
-    ASSERT_TRUE(ReadCountedSubTree(&env, index_v3.dir() + "/" + entry.filename,
-                                   &counted, &prefix, nullptr)
-                    .ok());
-    EXPECT_EQ(prefix, entry.prefix);
-    EXPECT_EQ(counted.LeafCount(), entry.frequency);
-    EXPECT_TRUE(ValidateSubTree(counted, text, entry.prefix).ok());
-
+  // Every emitted file is v3 and validates; its packed served form is
+  // smaller than the counted records it replaces (the cache-density win the
+  // format exists for). Each legacy mirror re-encodes at load into the same
+  // packed form: same canonical shape, same payload size, same cache charge.
+  for (const SubTreeEntry& entry : index.subtrees()) {
+    const std::string v3_path = index.dir() + "/" + entry.filename;
+    EXPECT_EQ(FileVersion(&env, v3_path), 3u);
     ServedSubTree served;
-    ASSERT_TRUE(ReadServedSubTree(&env, index_v3.dir() + "/" + entry.filename,
-                                  &served, nullptr, nullptr)
-                    .ok());
-    EXPECT_TRUE(served.compressed());
-    // The packed serving form must be smaller than the counted records it
-    // replaces (the cache-density win the format exists for).
-    EXPECT_LT(served.MemoryBytes(), counted.MemoryBytes());
-
-    CountedTree counted_v2;
+    std::string prefix;
     ASSERT_TRUE(
-        ReadCountedSubTree(&env, index_v2.dir() + "/" + entry_v2.filename,
-                           &counted_v2, nullptr, nullptr)
-            .ok());
-    EXPECT_EQ(TreeToSaLcp(served), TreeToSaLcp(counted_v2));
+        ReadServedSubTree(&env, v3_path, &served, &prefix, nullptr).ok());
+    EXPECT_EQ(prefix, entry.prefix);
+    EXPECT_EQ(served.LeafCount(), entry.frequency);
+    EXPECT_TRUE(ValidateSubTree(served, text, entry.prefix).ok());
+    EXPECT_LT(served.MemoryBytes(), served.size() * sizeof(CountedNode));
+    auto v3_info = InspectSubTreeFile(&env, v3_path);
+    ASSERT_TRUE(v3_info.ok());
+
+    for (const char* dir : {"/idx_v2", "/idx_v1"}) {
+      const std::string path = std::string(dir) + "/" + entry.filename;
+      ServedSubTree legacy;
+      ASSERT_TRUE(
+          ReadServedSubTree(&env, path, &legacy, &prefix, nullptr).ok())
+          << path;
+      EXPECT_EQ(prefix, entry.prefix);
+      EXPECT_EQ(TreeToSaLcp(legacy), TreeToSaLcp(served)) << path;
+      EXPECT_EQ(legacy.PayloadBytes(), served.PayloadBytes()) << path;
+      EXPECT_EQ(legacy.MemoryBytes(), served.MemoryBytes()) << path;
+      auto legacy_info = InspectSubTreeFile(&env, path);
+      ASSERT_TRUE(legacy_info.ok());
+      EXPECT_EQ(legacy_info->serving_bytes, v3_info->serving_bytes) << path;
+    }
   }
 
-  MirrorIndexAsV1(&env, index_v2, "/idx_v1");
   auto v3 = QueryEngine::Open(&env, "/idx_v3");
   auto v2 = QueryEngine::Open(&env, "/idx_v2");
   auto v1 = QueryEngine::Open(&env, "/idx_v1");
@@ -180,7 +175,7 @@ TEST_P(BuilderFormatTest, EmitsConfiguredFormatAndAllVersionsAnswerAlike) {
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   ExpectIdenticalAnswers(v3->get(), v2->get(), text);
-  ExpectIdenticalAnswers(v2->get(), v1->get(), text);
+  ExpectIdenticalAnswers(v3->get(), v1->get(), text);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuilders, BuilderFormatTest,
@@ -202,19 +197,19 @@ TEST(B2stFormatTest, ForestFilesRoundTripBothForms) {
   ASSERT_FALSE(result->subtree_files.empty());
   for (const std::string& file : result->subtree_files) {
     const std::string path = result->work_dir + "/" + file;
+    EXPECT_EQ(FileVersion(&env, path), 3u);
     TreeBuffer linked;
-    CountedTree counted;
+    ServedSubTree served;
     ASSERT_TRUE(ReadSubTree(&env, path, &linked, nullptr, nullptr).ok());
-    ASSERT_TRUE(
-        ReadCountedSubTree(&env, path, &counted, nullptr, nullptr).ok());
-    EXPECT_EQ(TreeToSaLcp(linked), TreeToSaLcp(counted));
-    EXPECT_EQ(CountLeaves(counted), counted.LeafCount());
+    ASSERT_TRUE(ReadServedSubTree(&env, path, &served, nullptr, nullptr).ok());
+    EXPECT_EQ(TreeToSaLcp(linked), TreeToSaLcp(served));
+    EXPECT_EQ(CountLeaves(linked), served.LeafCount());
   }
 }
 
 TEST(FormatCompatTest, V1FilesStillReadable) {
   // The full v1 write -> read matrix: a legacy file loads into the linked
-  // form verbatim and into the serving form via conversion, with the same
+  // form verbatim and into the served form via conversion, with the same
   // canonical structure and a correct leaf count.
   std::string text = testing::RandomText(Alphabet::Dna(), 500, 3);
   auto tree = BuildUkkonenTree(text);
@@ -229,12 +224,12 @@ TEST(FormatCompatTest, V1FilesStillReadable) {
   EXPECT_EQ(prefix, "AC");
   EXPECT_EQ(TreeToSaLcp(linked), TreeToSaLcp(*tree));
 
-  CountedTree counted;
+  ServedSubTree served;
   ASSERT_TRUE(
-      ReadCountedSubTree(&env, "/v1.bin", &counted, &prefix, nullptr).ok());
-  EXPECT_EQ(counted.size(), tree->size());
-  EXPECT_EQ(TreeToSaLcp(counted), TreeToSaLcp(*tree));
-  EXPECT_EQ(counted.LeafCount(), CountLeaves(*tree));
+      ReadServedSubTree(&env, "/v1.bin", &served, &prefix, nullptr).ok());
+  EXPECT_EQ(served.size(), tree->size());
+  EXPECT_EQ(TreeToSaLcp(served), TreeToSaLcp(*tree));
+  EXPECT_EQ(served.LeafCount(), CountLeaves(*tree));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <system_error>
 
 #include "era/era_builder.h"
 #include "era/parallel_builder.h"
@@ -28,6 +30,11 @@ class IntegrationTest : public ::testing::Test {
             std::to_string(
                 std::chrono::steady_clock::now().time_since_epoch().count());
     ASSERT_TRUE(env_->CreateDir(base_).ok());
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(base_, ec);
   }
 
   Env* env_ = nullptr;
